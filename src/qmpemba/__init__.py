@@ -24,7 +24,7 @@ from .dynamics import (
     robust_trajectory,
     spectral_trajectory,
 )
-from .linalg import GeneralEig, HermitianEig, general_eig, hermitian_eig, kron
+from .linalg import HermitianEig, hermitian_eig
 from .models import (
     AllToAllParams,
     CollectiveSpinBasis,
@@ -50,7 +50,6 @@ from .spectral import (
     SpectralDecomposition,
     decompose,
     hermitize_slow_mode,
-    mode_overlaps,
 )
 from .superop import (
     LindbladModel,
@@ -67,7 +66,6 @@ __all__ = [
     "DecayFit",
     "DickeParams",
     "ExperimentConfig",
-    "GeneralEig",
     "HermitianEig",
     "LindbladModel",
     "MpembaRotation",
@@ -91,14 +89,11 @@ __all__ = [
     "evolve_spectral_grid",
     "find_plateau",
     "fit_decay_rate",
-    "general_eig",
     "hermitian_eig",
     "hermitize_slow_mode",
     "hs_distance",
     "integrator_trajectory",
-    "kron",
     "load_config",
-    "mode_overlaps",
     "optimal_unitary",
     "overlap_scan",
     "random_pure_state",

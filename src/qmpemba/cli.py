@@ -1,7 +1,8 @@
 """Command-line front end: spectrum, overlap-scan, evolve, reproduce.
 
-Every run writes its data files plus exactly one ``manifest.json`` into the
-output directory; every failure writes a machine-readable ``error.json``.
+Every run writes its data files plus exactly one ``manifest.json`` into its
+output directory (``<out>/<figure>`` for ``reproduce``); every failure after
+that directory is known writes a machine-readable ``error.json`` there.
 Files are written atomically (temp file + rename) and floats are serialized
 with 17 significant digits, so identical configurations reproduce identical
 bytes.
@@ -96,8 +97,10 @@ def _write_json(path: Path, payload):
 
 
 def _out_dir(cfg: ExperimentConfig, args) -> Path:
-    out = args.out or cfg.out or os.environ.get(ENV_OUT_DIR) or DEFAULT_OUT_DIR
-    path = Path(out)
+    """The command's own output directory, created; ``<out>/<figure>`` for reproduce."""
+    path = Path(args.out or cfg.out or os.environ.get(ENV_OUT_DIR) or DEFAULT_OUT_DIR)
+    if args.command == "reproduce":
+        path = path / args.figure
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -106,7 +109,7 @@ def _error_payload(exc: Exception, code: int) -> dict:
     return {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
 
 
-def _emit_error(out_dir: Path, exc: Exception, code: int) -> int:
+def _emit_error(out_dir: Path | None, exc: Exception, code: int) -> int:
     payload = _error_payload(exc, code)
     if out_dir is not None:
         _write_json(out_dir / "error.json", payload)
@@ -161,8 +164,7 @@ def _manifest(out_dir: Path, command: str, cfg: ExperimentConfig, t0: float,
     _write_json(out_dir / "manifest.json", payload)
 
 
-def cmd_spectrum(cfg: ExperimentConfig, args) -> int:
-    out_dir = _out_dir(cfg, args)
+def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path) -> int:
     t0 = time.monotonic()
     try:
         _, dec = _decompose(cfg)
@@ -214,14 +216,10 @@ def _rotation_extra(rot) -> dict:
     }
 
 
-def cmd_overlap_scan(cfg: ExperimentConfig, args) -> int:
-    out_dir = _out_dir(cfg, args)
+def cmd_overlap_scan(cfg: ExperimentConfig, out_dir: Path) -> int:
     t0 = time.monotonic()
-    try:
-        _, dec = _decompose(cfg)
-        _, rot, rows = _scan_outputs(dec, cfg)
-    except AssumptionViolation as exc:
-        return _emit_error(out_dir, exc, EXIT_ASSUMPTIONS)
+    _, dec = _decompose(cfg)
+    _, rot, rows = _scan_outputs(dec, cfg)
     _write_csv(out_dir / "overlap_scan.csv",
                ("s", "overlap", "analytic", "unrotated_overlap"), rows)
     _manifest(out_dir, "overlap-scan", cfg, t0, ["overlap_scan.csv"],
@@ -233,10 +231,13 @@ def _trajectory_grid(cfg: ExperimentConfig, dec, rotated: bool) -> TimeGrid:
     lam = dec.eigenvalues
     rate = abs(lam[2].real) if rotated else abs(lam[1].real)
     t_max = cfg.t_max if cfg.t_max is not None else 16.0 / rate
-    if cfg.t_spacing == "linear":
-        return TimeGrid.linear(0.0, t_max, cfg.t_points)
-    t_min = cfg.t_min if cfg.t_min is not None else 1e-2 / abs(lam[2].real)
-    return TimeGrid.geometric(t_min, t_max, cfg.t_points, include_zero=True)
+    try:
+        if cfg.t_spacing == "linear":
+            return TimeGrid.linear(0.0, t_max, cfg.t_points)
+        t_min = cfg.t_min if cfg.t_min is not None else 1e-2 / abs(lam[2].real)
+        return TimeGrid.geometric(t_min, t_max, cfg.t_points, include_zero=True)
+    except ValueError as exc:
+        raise ConfigError(f"invalid time grid (t_min, t_max, t_points): {exc}") from exc
 
 
 def _fitted_trajectory(model, dec, rho0, grid, window):
@@ -258,26 +259,21 @@ def _trajectory_rows(traj):
     return zip(traj.times, traj.distances, np.abs(traj.slow_overlaps))
 
 
-def cmd_evolve(cfg: ExperimentConfig, args) -> int:
-    out_dir = _out_dir(cfg, args)
+def cmd_evolve(cfg: ExperimentConfig, out_dir: Path, rotated: bool) -> int:
     t0 = time.monotonic()
-    rotated = bool(args.rotated)
-    try:
-        model, dec = _decompose(cfg)
-        psi = random_pure_state(cfg.n, cfg.seed)
-        if rotated:
-            rot = optimal_unitary(dec, psi)
-            psi_used = rot.unitary @ psi
-            rot_extra = _rotation_extra(rot)
-        else:
-            rot_extra = None
-        rho0 = np.outer(psi_used if rotated else psi,
-                        (psi_used if rotated else psi).conj())
-        grid = _trajectory_grid(cfg, dec, rotated)
-        window = cfg.fit_window or (FIT_WINDOW_ROTATED if rotated else FIT_WINDOW_UNROTATED)
-        traj, _, fit_info = _fitted_trajectory(model, dec, rho0, grid, window)
-    except AssumptionViolation as exc:
-        return _emit_error(out_dir, exc, EXIT_ASSUMPTIONS)
+    model, dec = _decompose(cfg)
+    psi = random_pure_state(cfg.n, cfg.seed)
+    if rotated:
+        rot = optimal_unitary(dec, psi)
+        psi_used = rot.unitary @ psi
+        rot_extra = _rotation_extra(rot)
+    else:
+        rot_extra = None
+    rho0 = np.outer(psi_used if rotated else psi,
+                    (psi_used if rotated else psi).conj())
+    grid = _trajectory_grid(cfg, dec, rotated)
+    window = cfg.fit_window or (FIT_WINDOW_ROTATED if rotated else FIT_WINDOW_UNROTATED)
+    traj, _, fit_info = _fitted_trajectory(model, dec, rho0, grid, window)
     name = f"trajectory_{'rotated' if rotated else 'unrotated'}.csv"
     _write_csv(out_dir / name, ("t", "distance", "abs_slow_overlap"),
                _trajectory_rows(traj))
@@ -342,33 +338,27 @@ def _reproduce_assertions(figure, dec, rot, rows, fits, trajs):
     return checks, values
 
 
-def cmd_reproduce(figure: str, cfg: ExperimentConfig, args) -> int:
-    out_root = _out_dir(cfg, args)
-    out_dir = out_root / figure
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_reproduce(figure: str, cfg: ExperimentConfig, out_dir: Path) -> int:
     t0 = time.monotonic()
-    try:
-        model, dec = _decompose(cfg)
-        psi, rot, rows = _scan_outputs(dec, cfg)
-        lam = dec.eigenvalues
-        rho_un = np.outer(psi, psi.conj())
-        psi_rot = rot.unitary @ psi
-        rho_rot = np.outer(psi_rot, psi_rot.conj())
-        if figure == "fig2":
-            grid_un = TimeGrid.linear(0.0, 16.0 / abs(lam[1].real), cfg.t_points)
-            grid_rot = TimeGrid.linear(0.0, 16.0 / abs(lam[2].real), cfg.t_points)
-        else:
-            shared = TimeGrid.geometric(
-                1e-2 / abs(lam[2].real), 16.0 / abs(lam[1].real),
-                cfg.t_points, include_zero=True,
-            )
-            grid_un = grid_rot = shared
-        traj_un, fit_un, fit_un_info = _fitted_trajectory(
-            model, dec, rho_un, grid_un, cfg.fit_window or FIT_WINDOW_UNROTATED)
-        traj_rot, fit_rot, fit_rot_info = _fitted_trajectory(
-            model, dec, rho_rot, grid_rot, cfg.fit_window or FIT_WINDOW_ROTATED)
-    except AssumptionViolation as exc:
-        return _emit_error(out_dir, exc, EXIT_ASSUMPTIONS)
+    model, dec = _decompose(cfg)
+    psi, rot, rows = _scan_outputs(dec, cfg)
+    lam = dec.eigenvalues
+    rho_un = np.outer(psi, psi.conj())
+    psi_rot = rot.unitary @ psi
+    rho_rot = np.outer(psi_rot, psi_rot.conj())
+    if figure == "fig2":
+        grid_un = TimeGrid.linear(0.0, 16.0 / abs(lam[1].real), cfg.t_points)
+        grid_rot = TimeGrid.linear(0.0, 16.0 / abs(lam[2].real), cfg.t_points)
+    else:
+        shared = TimeGrid.geometric(
+            1e-2 / abs(lam[2].real), 16.0 / abs(lam[1].real),
+            cfg.t_points, include_zero=True,
+        )
+        grid_un = grid_rot = shared
+    traj_un, fit_un, fit_un_info = _fitted_trajectory(
+        model, dec, rho_un, grid_un, cfg.fit_window or FIT_WINDOW_UNROTATED)
+    traj_rot, fit_rot, fit_rot_info = _fitted_trajectory(
+        model, dec, rho_rot, grid_rot, cfg.fit_window or FIT_WINDOW_ROTATED)
 
     _write_csv(out_dir / "spectrum.csv", ("k", "re_lambda", "im_lambda"),
                _spectrum_rows(dec.eigenvalues))
@@ -451,25 +441,30 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command; every package error becomes its exit code and an ``error.json``.
+
+    The ``error.json`` goes to the command's output directory once that is
+    known; errors in the flags or the configuration file come before it and
+    go to stderr only.
+    """
+    out_dir = None
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         cfg = _config_from_args(args)
-    except ConfigError as exc:
-        return _emit_error(None, exc, EXIT_CONFIG)
-    try:
+        out_dir = _out_dir(cfg, args)
         if args.command == "spectrum":
-            return cmd_spectrum(cfg, args)
+            return cmd_spectrum(cfg, out_dir)
         if args.command == "overlap-scan":
-            return cmd_overlap_scan(cfg, args)
+            return cmd_overlap_scan(cfg, out_dir)
         if args.command == "evolve":
-            return cmd_evolve(cfg, args)
-        return cmd_reproduce(args.figure, cfg, args)
+            return cmd_evolve(cfg, out_dir, bool(args.rotated))
+        return cmd_reproduce(args.figure, cfg, out_dir)
+    except AssumptionViolation as exc:
+        return _emit_error(out_dir, exc, EXIT_ASSUMPTIONS)
     except ConfigError as exc:
-        return _emit_error(None, exc, EXIT_CONFIG)
+        return _emit_error(out_dir, exc, EXIT_CONFIG)
     except QmpembaError as exc:
-        out = Path(args.out) if args.out else None
-        return _emit_error(out if out and out.exists() else None, exc, EXIT_NUMERICAL)
+        return _emit_error(out_dir, exc, EXIT_NUMERICAL)
 
 
 if __name__ == "__main__":

@@ -15,12 +15,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoConvergence, PoorFit, ShapeMismatch, StepTooLarge, WindowEmpty
+from .errors import NoConvergence, PoorFit, ShapeMismatch, WindowEmpty
 from .linalg import as_matrix
 from .spectral import SpectralDecomposition
 from .superop import LindbladModel, build_liouvillian, vec
 
 RK4_STEP_FACTOR = 0.05
+AGREEMENT_TOL = 1e-6
+MAX_BURN_STEPS = 2_000_000
 
 FIT_WINDOW_UNROTATED = (1e-1, 1e-4)
 FIT_WINDOW_ROTATED = (1e-2, 1e-6)
@@ -29,10 +31,9 @@ FIT_R2_FLOOR = 0.99
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing, non-negative times with a spacing tag."""
+    """Strictly increasing, non-negative times."""
 
     points: np.ndarray
-    spacing: str = "linear"
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -44,7 +45,7 @@ class TimeGrid:
 
     @classmethod
     def linear(cls, t_start: float, t_stop: float, n: int) -> "TimeGrid":
-        return cls(points=np.linspace(t_start, t_stop, n), spacing="linear")
+        return cls(points=np.linspace(t_start, t_stop, n))
 
     @classmethod
     def geometric(
@@ -55,7 +56,7 @@ class TimeGrid:
         pts = np.geomspace(t_start, t_stop, n - 1 if include_zero else n)
         if include_zero:
             pts = np.concatenate([[0.0], pts])
-        return cls(points=pts, spacing="logarithmic")
+        return cls(points=pts)
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,6 @@ class TrajectoryRecord:
     distances: np.ndarray
     slow_overlaps: np.ndarray  # Tr(l_2 rho_t) along the trajectory
     source: str  # "spectral" | "integrator" | "hybrid"
-    fit: Optional[DecayFit] = None
     handoff_time: Optional[float] = None  # hybrid: first spectrally-evolved time
 
 
@@ -138,23 +138,16 @@ def integrator_step_bound(model: LindbladModel) -> float:
     return RK4_STEP_FACTOR / float(np.linalg.norm(gen, np.inf))
 
 
-def evolve_integrator(
-    model: LindbladModel, rho0, grid: TimeGrid, h_max: Optional[float] = None
-) -> np.ndarray:
+def evolve_integrator(model: LindbladModel, rho0, grid: TimeGrid) -> np.ndarray:
     """Fixed-step RK4 integration of the master equation, one state per grid time.
 
     The right-hand side is evaluated directly from the model operators; the
-    step size is ``h_max`` (default: the stability bound) subdivided to land
-    exactly on every grid point, so a given (model, state, grid) is bitwise
-    reproducible.
+    step size is the stability bound subdivided to land exactly on every grid
+    point, so a given (model, state, grid) is bitwise reproducible.
     """
     d = model.dim
     rho = _check_density(rho0, d).copy()
-    bound = integrator_step_bound(model)
-    if h_max is None:
-        h_max = bound
-    elif h_max > bound:
-        raise StepTooLarge(f"step {h_max:g} exceeds stability bound {bound:g}")
+    h_max = integrator_step_bound(model)
     h_op = model.hamiltonian
     jumps = model.jumps
     out = np.empty((grid.points.size, d, d), dtype=complex)
@@ -265,8 +258,6 @@ def robust_trajectory(
     dec: SpectralDecomposition,
     rho0,
     grid: TimeGrid,
-    agreement_tol: float = 1e-6,
-    max_burn_steps: int = 2_000_000,
 ) -> TrajectoryRecord:
     """Trajectory that is valid at every grid time, even on hard eigenbases.
 
@@ -275,7 +266,7 @@ def robust_trajectory(
     the summed modes and the actual initial state) can be large when the
     eigenvector basis is close to defective.  When that happens, the early
     segment is integrated directly with RK4 and handed over to the mode sum at
-    the first grid time where the two routes agree to ``agreement_tol``; the
+    the first grid time where the two routes agree to ``AGREEMENT_TOL``; the
     agreement check makes the handoff self-validating.
     """
     d = dec.dim
@@ -284,7 +275,7 @@ def robust_trajectory(
     defect0 = float(np.max(np.abs(_evolve_times(dec, rho0, np.zeros(1))[0] - rho0)))
     zero_rows = grid.points == 0.0
     states[zero_rows] = rho0
-    if defect0 <= agreement_tol:
+    if defect0 <= AGREEMENT_TOL:
         return _record(dec, states, grid, "spectral")
 
     h_max = integrator_step_bound(model)
@@ -296,14 +287,14 @@ def robust_trajectory(
         if t == 0.0:
             continue
         spent += max(1, int(np.ceil((t - t_prev) / h_max)))
-        if spent > max_burn_steps:
+        if spent > MAX_BURN_STEPS:
             raise NoConvergence(
                 "mode sum and integrator never agreed within the step budget; "
                 f"initial reconstruction defect was {defect0:.3e}"
             )
         _integrate_interval(model.hamiltonian, model.jumps, rho, t_prev, t, h_max)
         t_prev = t
-        if float(np.max(np.abs(states[i] - rho))) <= agreement_tol:
+        if float(np.max(np.abs(states[i] - rho))) <= AGREEMENT_TOL:
             handoff = float(t)
             states[i] = rho
             break

@@ -67,10 +67,6 @@ class NotNormalized(QmpembaError):
     """A state vector is not normalized to one."""
 
 
-class StepTooLarge(QmpembaError):
-    """Integrator step size violates the stability bound."""
-
-
 class WindowEmpty(QmpembaError):
     """No usable points inside the requested fit window."""
 
@@ -81,10 +77,6 @@ class InvalidN(QmpembaError):
 
 class DegenerateDenominator(QmpembaError):
     """Adiabatic coefficient denominator vanished."""
-
-
-class ConventionMismatch(QmpembaError):
-    """Superoperator built under a different vectorization convention."""
 
 
 class ConfigError(QmpembaError):

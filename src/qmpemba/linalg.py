@@ -1,26 +1,23 @@
 """Dense complex linear algebra with explicit accuracy contracts.
 
 All matrices are ``numpy.ndarray`` of ``complex128`` in row-major (C) element
-order; this storage order is fixed package-wide.  Factorizations are backed by
-LAPACK (through numpy/scipy) behind the contracts below: every decomposition
-returned by this module has been residual-checked, and left-eigenvector rows
-always come from inverting the right-eigenvector matrix so that the pairing
-``W @ V = 1`` holds to solver accuracy.
+order; this storage order is fixed package-wide.  Two LAPACK-backed
+(numpy/scipy) routines live here: a Hermitian eigensolver whose result is
+residual-checked before it is returned, and a Newton-refined inverse, from
+which left-eigenvector rows are taken so that the pairing ``W @ V = 1`` holds
+to solver accuracy.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import IllConditionedBasis, NoConvergence, NotHermitian, ShapeMismatch
+from .errors import NoConvergence, NotHermitian, ShapeMismatch
 
 HERMITIAN_EIG_TOL = 1e-10
-GENERAL_EIG_TOL = 1e-8
-CONDITION_WARN_THRESHOLD = 1e10
 
 
 def as_matrix(a) -> np.ndarray:
@@ -35,49 +32,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix contains non-finite entries")
     return m
-
-
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=complex)
-
-
-def matmul(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def add(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"cannot add {a.shape} and {b.shape}")
-    return a + b
-
-
-def scale(c: complex, a) -> np.ndarray:
-    return complex(c) * as_matrix(a)
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
-def trace(a) -> complex:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeMismatch(f"trace of non-square matrix {a.shape}")
-    return complex(np.trace(a))
-
-
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(as_matrix(a), "fro"))
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with block layout (a⊗b)[i*rB+k, j*cB+l] = a[i,j]*b[k,l]."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def max_abs(a) -> float:
@@ -97,23 +51,6 @@ class HermitianEig:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-@dataclass(frozen=True)
-class GeneralEig:
-    """General (non-Hermitian) eigendecomposition.
-
-    ``right_vectors`` holds eigenvectors as columns; ``left_inverse`` is its
-    inverse, whose rows pair bi-orthogonally with the columns.
-    ``condition_estimate`` is the 1-norm condition estimate of the basis and
-    ``pairing_residual`` the achieved ``max|W V - 1|``.
-    """
-
-    eigenvalues: np.ndarray
-    right_vectors: np.ndarray
-    left_inverse: np.ndarray
-    condition_estimate: float
-    pairing_residual: float
 
 
 def hermitian_eig(a) -> HermitianEig:
@@ -174,58 +111,3 @@ def refined_inverse(v: np.ndarray) -> tuple[np.ndarray, float]:
         w = w + e @ w
     return best_w, best_r
 
-
-def general_eig(a) -> GeneralEig:
-    """Diagonalize a general square complex matrix.
-
-    Left eigenvector rows are obtained as the (refined) inverse of the right
-    eigenvector matrix, never from a second independent diagonalization.
-
-    Warns
-    -----
-    IllConditionedBasis
-        When the basis condition estimate exceeds 1e10 (near-defective input);
-        the pairing residual then reflects whatever double precision allows.
-
-    Raises
-    ------
-    NoConvergence
-        If LAPACK fails, the eigenvector matrix is numerically singular, or a
-        residual violates the contract despite a trusted condition number.
-    """
-    a = as_matrix(a)
-    n = a.shape[0]
-    if n != a.shape[1]:
-        raise ShapeMismatch(f"eigendecomposition of non-square matrix {a.shape}")
-    scale_a = max(max_abs(a), 1e-300)
-    try:
-        lam, v = sla.eig(a)
-    except (sla.LinAlgError, ValueError) as exc:
-        raise NoConvergence(f"general eigensolver failed: {exc}") from exc
-    w, pairing = refined_inverse(v)
-    cond = float(np.linalg.norm(v, 1) * np.linalg.norm(w, 1))
-    if cond > CONDITION_WARN_THRESHOLD:
-        warnings.warn(
-            f"eigenvector basis condition estimate {cond:.2e} exceeds "
-            f"{CONDITION_WARN_THRESHOLD:.0e}; matrix is near-defective",
-            IllConditionedBasis,
-            stacklevel=2,
-        )
-    eig_resid = float(np.max(np.abs(a @ v - v * lam[None, :])))
-    if eig_resid > GENERAL_EIG_TOL * scale_a:
-        raise NoConvergence(
-            f"eigenvector residual {eig_resid:.3e} exceeds "
-            f"{GENERAL_EIG_TOL:.0e} * max|a|"
-        )
-    if pairing > GENERAL_EIG_TOL and cond <= CONDITION_WARN_THRESHOLD:
-        raise NoConvergence(
-            f"pairing residual max|WV-1| = {pairing:.3e} with trusted "
-            f"condition estimate {cond:.2e}"
-        )
-    return GeneralEig(
-        eigenvalues=lam,
-        right_vectors=v,
-        left_inverse=w,
-        condition_estimate=cond,
-        pairing_residual=pairing,
-    )

@@ -67,13 +67,12 @@ class MpembaRotation:
     unitary: np.ndarray
     branch: str
     s_bar: Optional[float]
-    coupling: Optional[np.ndarray]  # Hermitian two-level generator of U2
     residual_overlap: float
     initial_overlap: float
     slow_spectrum: SlowModeSpectrum
 
 
-def slow_mode_spectrum(ell2, tol_alpha_factor: float = TOL_ALPHA_FACTOR) -> SlowModeSpectrum:
+def slow_mode_spectrum(ell2) -> SlowModeSpectrum:
     """Diagonalize the Hermitian slow mode and select the working levels.
 
     The eigenvalue set of a valid slow mode is trace-orthogonal to a positive
@@ -83,7 +82,7 @@ def slow_mode_spectrum(ell2, tol_alpha_factor: float = TOL_ALPHA_FACTOR) -> Slow
     eig = hermitian_eig(ell2)
     alphas = eig.eigenvalues[::-1].copy()
     phis = eig.eigenvectors[:, ::-1].copy()
-    tol_alpha = tol_alpha_factor * float(np.max(np.abs(alphas)))
+    tol_alpha = TOL_ALPHA_FACTOR * float(np.max(np.abs(alphas)))
 
     mods = np.abs(alphas)
     top = float(np.max(mods))
@@ -172,13 +171,6 @@ def rotation_angle(alpha_1: float, alpha_n: float) -> float:
     return float(np.arctan(np.sqrt(abs(alpha_1 / alpha_n))))
 
 
-def two_level_coupling(levels: SlowModeSpectrum) -> np.ndarray:
-    """Hermitian generator |phi_1><phi_n| + |phi_n><phi_1| of the rotation."""
-    p1 = levels.phis[:, levels.index_1]
-    pn = levels.phis[:, levels.index_n]
-    return np.outer(p1, pn.conj()) + np.outer(pn, p1.conj())
-
-
 def build_rotation(levels: SlowModeSpectrum, s: float) -> np.ndarray:
     """Two-level rotation ``1 + (cos s - 1) F^2 - i sin(s) F`` (unitary, U(0)=1)."""
     if levels.zero_branch:
@@ -230,12 +222,10 @@ def optimal_unitary(dec: SpectralDecomposition, psi) -> MpembaRotation:
     if levels.zero_branch:
         u2 = build_permutation(levels)
         s_bar = None
-        coupling = None
         branch = PERMUTATION
     else:
         s_bar = rotation_angle(levels.alpha_1, levels.alpha_n)
         u2 = build_rotation(levels, s_bar)
-        coupling = two_level_coupling(levels)
         branch = ROTATION
 
     unitary = u2 @ u1
@@ -246,7 +236,6 @@ def optimal_unitary(dec: SpectralDecomposition, psi) -> MpembaRotation:
         unitary=unitary,
         branch=branch,
         s_bar=s_bar,
-        coupling=coupling,
         residual_overlap=abs(_overlap(ell2, unitary, rho0)),
         initial_overlap=float(np.real(np.vdot(psi, ell2 @ psi))),
         slow_spectrum=levels,

@@ -33,7 +33,7 @@ from .errors import (
     NotHermitianSlowMode,
     ShapeMismatch,
 )
-from .linalg import as_matrix, max_abs, refined_inverse
+from .linalg import max_abs, refined_inverse
 from .superop import Superoperator, vec
 
 TOL_ZERO_FACTOR = 1e-9
@@ -41,6 +41,7 @@ TOL_IMAG_FACTOR = 1e-8
 TOL_GAP_FACTOR = 1e-10
 SLOW_MODE_HERM_TOL = 1e-7
 CONDITION_WARN_THRESHOLD = 1e10
+REFINE_MODES = 3
 
 _REFINE_SEPARATION_FACTOR = 1e-6
 _REFINE_SHIFT_JITTER = 1e-12
@@ -191,11 +192,8 @@ def _refine_pair(lr, lam_k, v, w, scale):
 def decompose(
     sup: Superoperator,
     *,
-    strict: bool = True,
-    tol_zero_factor: float = TOL_ZERO_FACTOR,
     tol_imag_factor: float = TOL_IMAG_FACTOR,
     tol_gap_factor: float = TOL_GAP_FACTOR,
-    refine_modes: int = 3,
 ) -> SpectralDecomposition:
     """Full mode decomposition of a Lindblad generator matrix.
 
@@ -203,15 +201,14 @@ def decompose(
     ----------
     sup:
         Superoperator of kind ``"generator"``.
-    strict:
-        When true (default), violated assumptions raise ``ComplexSlowMode`` or
-        ``DegenerateSlowMode`` with the finished decomposition attached.  A
-        degenerate zero eigenvalue always raises ``DegenerateStationaryState``
-        (there is no meaningful stationary normalization to return).
     tol_*_factor:
         Relative tolerances, scaled by ``max|eigenvalue|``.
-    refine_modes:
-        Number of leading modes polished by shifted inverse iteration.
+
+    Violated assumptions raise ``ComplexSlowMode`` or ``DegenerateSlowMode``
+    with the finished decomposition attached.  A degenerate zero eigenvalue
+    raises ``DegenerateStationaryState`` (there is no meaningful stationary
+    normalization to return).  The ``REFINE_MODES`` leading modes are
+    polished by shifted inverse iteration.
     """
     if sup.kind != "generator":
         raise ValueError(f"decompose expects a generator, got kind={sup.kind!r}")
@@ -243,7 +240,7 @@ def decompose(
     v_complex = v_complex[:, order]
 
     scale = max(float(np.max(np.abs(lam))), 1e-300)
-    tol_zero = tol_zero_factor * scale
+    tol_zero = TOL_ZERO_FACTOR * scale
     tol_imag = tol_imag_factor * scale
     tol_gap = tol_gap_factor * scale
 
@@ -293,7 +290,7 @@ def decompose(
 
     # polish the slow modes: they carry all downstream physics
     sep_min = _REFINE_SEPARATION_FACTOR * scale
-    for k in range(min(refine_modes, m)):
+    for k in range(min(REFINE_MODES, m)):
         others = np.abs(lam - lam[k])
         others[k] = np.inf
         if partners[k] != k:
@@ -400,17 +397,16 @@ def decompose(
         gap3=gap3,
         diagnostics=diagnostics,
     )
-    if strict:
-        if not flags.slow_mode_real:
-            raise ComplexSlowMode(
-                f"Im(lambda_2) = {lam2.imag:.3e} exceeds {tol_imag:.3e}",
-                decomposition=dec,
-            )
-        if not flags.slow_mode_unique:
-            raise DegenerateSlowMode(
-                f"|Re lambda_3| - |Re lambda_2| = {gap3:.3e} below {tol_gap:.3e}",
-                decomposition=dec,
-            )
+    if not flags.slow_mode_real:
+        raise ComplexSlowMode(
+            f"Im(lambda_2) = {lam2.imag:.3e} exceeds {tol_imag:.3e}",
+            decomposition=dec,
+        )
+    if not flags.slow_mode_unique:
+        raise DegenerateSlowMode(
+            f"|Re lambda_3| - |Re lambda_2| = {gap3:.3e} below {tol_gap:.3e}",
+            decomposition=dec,
+        )
     return dec
 
 
@@ -431,19 +427,6 @@ def hermitize_slow_mode(dec: SpectralDecomposition) -> np.ndarray:
             f"(> {SLOW_MODE_HERM_TOL:.0e} * max|l_2| = {SLOW_MODE_HERM_TOL * scale:.3e})"
         )
     return (ell2 + ell2.conj().T) / 2
-
-
-def mode_overlaps(dec: SpectralDecomposition, rho0) -> np.ndarray:
-    """Expansion coefficients Tr(l_k rho0) of a density matrix over the modes."""
-    rho0 = as_matrix(rho0)
-    d = dec.dim
-    if rho0.shape != (d, d):
-        raise ShapeMismatch(f"state shape {rho0.shape} does not match dimension {d}")
-    if abs(np.trace(rho0) - 1.0) > 1e-10:
-        raise ValueError(f"state trace {np.trace(rho0):.12g} is not 1 within 1e-10")
-    if float(np.max(np.abs(rho0 - rho0.conj().T))) > 1e-10:
-        raise ValueError("state is not Hermitian within 1e-10")
-    return dec.left_pairing_rows() @ vec(rho0)
 
 
 def conjugation_closure_residual(eigenvalues: np.ndarray, tol_imag: float) -> float:

@@ -2,17 +2,15 @@
 
 Vectorization is column-stacking, fixed package-wide: component ``i + j*d`` of
 ``vec(X)`` equals ``X[i, j]``, so ``vec(A @ X @ B) = (B.T ⊗ A) @ vec(X)``.
-Every :class:`Superoperator` carries this convention as a tag and refuses to
-act under any other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConventionMismatch, NotHermitian, ShapeMismatch
+from .errors import NotHermitian, ShapeMismatch
 from .linalg import as_matrix, hermiticity_defect, max_abs
 
 VEC_CONVENTION = "column-stacking"
@@ -81,7 +79,6 @@ class Superoperator:
 
     matrix: np.ndarray
     kind: str  # "generator" | "adjoint-generator"
-    convention: str = field(default=VEC_CONVENTION)
 
     @property
     def dim(self) -> int:
@@ -89,11 +86,6 @@ class Superoperator:
 
     def apply(self, x) -> np.ndarray:
         """Apply the superoperator to a d x d matrix."""
-        if self.convention != VEC_CONVENTION:
-            raise ConventionMismatch(
-                f"superoperator tagged {self.convention!r}; this build only "
-                f"supports {VEC_CONVENTION!r}"
-            )
         x = as_matrix(x)
         if x.shape != (self.dim, self.dim):
             raise ShapeMismatch(

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qmpemba.cli import main
 from qmpemba.config import load_config
-from qmpemba.errors import ConfigError
+from qmpemba.errors import ConfigError, NoConvergence
 
 
 def read_csv(path):
@@ -186,3 +187,50 @@ class TestReproduceCommand:
         assert checks["unitary"]
         assert checks["scan_matches_two_level_law"]
         assert checks["scan_endpoints"]
+
+
+def _no_convergence(*args, **kwargs):
+    raise NoConvergence("trajectory forced to fail")
+
+
+# command, output given by --out ("flag") or $QMPEMBA_OUT ("env"), config file
+# text, whether robust_trajectory fails, exit code, error.json subdirectory
+EXIT_CODE_ROWS = [
+    pytest.param(["spectrum", "--n", "4"], "flag", None, False, 0, None, id="0-success"),
+    pytest.param(["reproduce", "fig2", "--n", "4", "--fit-window", "1e-300:1e-301"],
+                 "flag", None, False, 1, None, id="1-assertions"),
+    pytest.param(["reproduce", "fig2", "--n", "4", "--tol-gap", "1e6"],
+                 "flag", None, False, 2, "fig2", id="2-assumptions-reproduce"),
+    pytest.param(["overlap-scan", "--n", "4", "--tol-gap", "1e6"],
+                 "env", None, False, 2, "", id="2-assumptions-env"),
+    pytest.param(["evolve", "--n", "4"], "env", None, True, 3, "", id="3-numerical-env"),
+    pytest.param(["reproduce", "fig3", "--n", "4"], "flag", None, True, 3, "fig3",
+                 id="3-numerical-reproduce"),
+    pytest.param(["evolve", "--n", "4"], "env", "t_max = 0.001\nt_spacing = logarithmic\n",
+                 False, 4, "", id="4-config-bad-grid"),
+]
+
+
+@pytest.mark.parametrize("argv, out_via, cfg_text, fail_trajectory, code, err_dir",
+                         EXIT_CODE_ROWS)
+def test_exit_codes(argv, out_via, cfg_text, fail_trajectory, code, err_dir,
+                    tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    argv = list(argv)
+    if out_via == "flag":
+        argv += ["--out", str(out)]
+    else:
+        monkeypatch.setenv("QMPEMBA_OUT", str(out))
+    if cfg_text is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(cfg_text)
+        argv += ["--config", str(cfg)]
+    if fail_trajectory:
+        monkeypatch.setattr("qmpemba.cli.robust_trajectory", _no_convergence)
+    assert main(argv) == code
+    errors = sorted(p.relative_to(out) for p in out.rglob("error.json"))
+    if err_dir is None:
+        assert errors == []
+    else:
+        assert errors == [Path(err_dir) / "error.json"]
+        assert read_json(out / err_dir / "error.json")["exit_code"] == code

@@ -5,10 +5,9 @@ import pytest
 
 from conftest import qubit_decay_model, random_hermitian
 
-from qmpemba.errors import ConventionMismatch, NotHermitian, ShapeMismatch
+from qmpemba.errors import NotHermitian, ShapeMismatch
 from qmpemba.superop import (
     LindbladModel,
-    Superoperator,
     build_adjoint_liouvillian,
     build_liouvillian,
     unvec,
@@ -114,12 +113,6 @@ class TestLiouvillian:
         sup = build_liouvillian(qubit_decay_model(kappa))
         lam = np.sort(np.linalg.eigvals(sup.matrix).real)
         assert np.allclose(lam, [-kappa, -kappa / 2, -kappa / 2, 0], atol=1e-10)
-
-    def test_convention_tag_enforced(self):
-        sup = build_liouvillian(qubit_decay_model())
-        tampered = Superoperator(matrix=sup.matrix, kind=sup.kind, convention="row-major")
-        with pytest.raises(ConventionMismatch):
-            tampered.apply(np.eye(2))
 
 
 class TestAdjoint:
