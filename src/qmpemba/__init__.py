@@ -2,8 +2,10 @@
 
 Builds Lindblad generators for collective-spin models, computes their full
 mode decomposition, constructs the initial unitary that removes the overlap
-with the slowest decaying mode, and propagates states along both a spectral
-and an independent Runge-Kutta route.
+with the slowest decaying mode, and propagates states by mode summation, with
+the exact exponential action of the sparse generator covering early times
+where the mode sum is inaccurate.  An independent Runge-Kutta integrator is
+kept as the test oracle for both routes.
 """
 
 __version__ = "0.1.0"

@@ -101,7 +101,10 @@ def _out_dir(cfg: ExperimentConfig, args) -> Path:
     path = Path(args.out or cfg.out or os.environ.get(ENV_OUT_DIR) or DEFAULT_OUT_DIR)
     if args.command == "reproduce":
         path = path / args.figure
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
     return path
 
 
@@ -444,8 +447,8 @@ def main(argv=None) -> int:
     """Run one command; every package error becomes its exit code and an ``error.json``.
 
     The ``error.json`` goes to the command's output directory once that is
-    known; errors in the flags or the configuration file come before it and
-    go to stderr only.
+    known; errors in the flags, the configuration file or the creation of
+    that directory come before it and go to stderr only.
     """
     out_dir = None
     try:

@@ -103,7 +103,9 @@ class TestSpectrumCommand:
     def test_bad_config_value_exit_4(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("kappa = -1\n")
-        assert main(["spectrum", "--config", str(path)]) == 4
+        out = tmp_path / "run"
+        assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 4
+        assert read_json(out / "error.json")["error"] == "ConfigError"
 
 
 class TestOverlapScanCommand:
@@ -193,8 +195,9 @@ def _no_convergence(*args, **kwargs):
     raise NoConvergence("trajectory forced to fail")
 
 
-# command, output given by --out ("flag") or $QMPEMBA_OUT ("env"), config file
-# text, whether robust_trajectory fails, exit code, error.json subdirectory
+# command, output given by --out ("flag"), by an --out that names an existing
+# file ("file") or by $QMPEMBA_OUT ("env"), config file text, whether
+# robust_trajectory fails, exit code, error.json subdirectory
 EXIT_CODE_ROWS = [
     pytest.param(["spectrum", "--n", "4"], "flag", None, False, 0, None, id="0-success"),
     pytest.param(["reproduce", "fig2", "--n", "4", "--fit-window", "1e-300:1e-301"],
@@ -208,6 +211,9 @@ EXIT_CODE_ROWS = [
                  id="3-numerical-reproduce"),
     pytest.param(["evolve", "--n", "4"], "env", "t_max = 0.001\nt_spacing = logarithmic\n",
                  False, 4, "", id="4-config-bad-grid"),
+    pytest.param(["spectrum", "--n", "4"], "file", None, False, 4, None, id="4-config-out-is-file"),
+    pytest.param(["reproduce", "fig2", "--n", "4"], "file", None, False, 4, None,
+                 id="4-config-out-is-file-reproduce"),
 ]
 
 
@@ -217,7 +223,9 @@ def test_exit_codes(argv, out_via, cfg_text, fail_trajectory, code, err_dir,
                     tmp_path, monkeypatch):
     out = tmp_path / "out"
     argv = list(argv)
-    if out_via == "flag":
+    if out_via == "file":
+        out.write_text("not a directory\n")
+    if out_via in ("flag", "file"):
         argv += ["--out", str(out)]
     else:
         monkeypatch.setenv("QMPEMBA_OUT", str(out))
@@ -228,6 +236,8 @@ def test_exit_codes(argv, out_via, cfg_text, fail_trajectory, code, err_dir,
     if fail_trajectory:
         monkeypatch.setattr("qmpemba.cli.robust_trajectory", _no_convergence)
     assert main(argv) == code
+    if out_via == "file":
+        assert out.read_text() == "not a directory\n"
     errors = sorted(p.relative_to(out) for p in out.rglob("error.json"))
     if err_dir is None:
         assert errors == []

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import qubit_decay_model, random_density, random_hermitian
 
 from qmpemba import (
     LindbladModel,
     TimeGrid,
+    build_liouvillian,
+    decompose,
     evolve_integrator,
     evolve_spectral,
     evolve_spectral_grid,
@@ -17,8 +25,12 @@ from qmpemba import (
     integrator_trajectory,
     robust_trajectory,
     spectral_trajectory,
+    unvec,
+    vec,
 )
-from qmpemba.errors import PoorFit, ShapeMismatch, WindowEmpty
+from qmpemba import dynamics
+from qmpemba.dynamics import AGREEMENT_TOL
+from qmpemba.errors import AssumptionViolation, PoorFit, ShapeMismatch, WindowEmpty
 
 RNG = np.random.default_rng(20240505)
 
@@ -204,6 +216,67 @@ class TestTrajectories:
         assert traj.distances[0] == hs_distance(rho0, dec.stationary_state)
         ref = integrator_trajectory(model, dec, rho0, grid)
         assert np.max(np.abs(traj.distances - ref.distances)) < 1e-6
+
+
+def _random_model(d: int, n_jumps: int, rng) -> LindbladModel:
+    jumps = tuple(
+        rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(n_jumps)
+    )
+    return LindbladModel(hamiltonian=random_hermitian(d, rng), jumps=jumps)
+
+
+class TestHybridTrajectory:
+    DEFECT = 1e-3
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        n_jumps=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_burn_matches_oracle_then_hands_off(self, d, n_jumps, seed):
+        rng = np.random.default_rng(seed)
+        model = _random_model(d, n_jumps, rng)
+        try:
+            dec = decompose(build_liouvillian(model))
+        except AssumptionViolation as exc:
+            dec = exc.decomposition
+        rho0 = random_density(d, rng)
+        # Perturb the fastest right mode so that its term of the mode sum is
+        # DEFECT * Herm(e^{lam t} (H1 + i H2)) = DEFECT * e^{Re lam t}
+        # (cos(Im lam t) H1 - sin(Im lam t) H2), with H1 diagonal and H2
+        # off-diagonal: a t=0 defect far above AGREEMENT_TOL whose max-abs
+        # norm never dips below 1/sqrt(2) of its decaying envelope.
+        k = int(np.argmin(dec.eigenvalues.real))
+        coeff = dec.left_pairing_rows()[k] @ vec(rho0)
+        shape = np.zeros((d, d), dtype=complex)
+        shape[0, 0], shape[1, 1] = 1.0, -1.0
+        shape[0, 1] = shape[1, 0] = 1j
+        right = dec.right_modes.copy()
+        right[k] += self.DEFECT * shape / coeff
+        perturbed = replace(dec, right_modes=right)
+        grid = TimeGrid.linear(0.0, 12.0 / abs(dec.eigenvalues[k].real), 49)
+
+        with mock.patch.object(dynamics, "_record", wraps=dynamics._record) as record:
+            traj = robust_trajectory(model, perturbed, rho0, grid)
+        states = record.call_args.args[1]
+
+        assert traj.source == "hybrid"
+        assert traj.handoff_time is not None
+        h = int(np.searchsorted(grid.points, traj.handoff_time))
+        gen = build_liouvillian(model).matrix
+        exact_burn = [unvec(sla.expm(t * gen) @ vec(rho0)) for t in grid.points[: h + 1]]
+        assert np.max(np.abs(states[: h + 1] - exact_burn)) < 1e-10
+        # RK4 at its fixed step 0.05/||L||_inf is itself off by up to ~2e-8
+        # on the fastest modes (2.1e-8 seen on one of 1500 random models)
+        oracle = evolve_integrator(model, rho0, TimeGrid(points=grid.points[: h + 1]))
+        assert np.max(np.abs(states[: h + 1] - oracle)) < 1e-7
+        # past the handoff the perturbation is at most sqrt(2) times what the
+        # agreement check let through
+        unperturbed = evolve_spectral_grid(dec, rho0, grid)
+        assert np.max(np.abs(states[h:] - unperturbed[h:])) < 2 * AGREEMENT_TOL
+        assert np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1)) < 1e-10
+        assert np.max(np.abs(states - states.conj().transpose(0, 2, 1))) < 1e-10
 
 
 class TestLateTimeAffinity:
