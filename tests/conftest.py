@@ -38,6 +38,22 @@ def random_hermitian(d: int, rng) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
+def random_lindblad_model(d: int, n_jumps: int, rng, planted: bool = False) -> LindbladModel:
+    """Dense random jumps and Hamiltonian, or with planted parity of i - j.
+
+    Planted: H only on even i - j and jumps only on odd i - j, so the
+    generator maps |i><j| only onto |a><b| with a - b of the parity of i - j.
+    """
+    jumps = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(n_jumps)]
+    h = random_hermitian(d, rng)
+    if planted:
+        i, j = np.indices((d, d))
+        even = (i - j) % 2 == 0
+        h = np.where(even, h, 0)
+        jumps = [np.where(even, 0, jump) for jump in jumps]
+    return LindbladModel(hamiltonian=h, jumps=tuple(jumps))
+
+
 @pytest.fixture(scope="session")
 def dicke6():
     model = dicke_model(DICKE_REF, 6)

@@ -8,15 +8,18 @@ shared through session fixtures.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import ALL_TO_ALL_REF, DICKE_REF, qubit_decay_model
 
+import qmpemba
 from qmpemba import (
     TimeGrid,
     adiabatic_coefficients,
@@ -306,6 +309,10 @@ def test_criterion_7_boson_elimination_coefficients():
 
 def test_criterion_8_runtime_budget(tmp_path):
     """Both bundled reference experiments complete within ten minutes."""
+    # the CLI runs in a child that imports the package this process imported,
+    # installed or from the src/ directory of a checkout
+    package_root = str(Path(qmpemba.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
     start = time.monotonic()
     codes = []
     for figure in ("fig2", "fig3"):
@@ -315,6 +322,7 @@ def test_criterion_8_runtime_budget(tmp_path):
             capture_output=True,
             text=True,
             timeout=900,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         codes.append(proc.returncode)
     elapsed = time.monotonic() - start

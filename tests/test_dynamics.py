@@ -9,7 +9,12 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import qubit_decay_model, random_density, random_hermitian
+from conftest import (
+    qubit_decay_model,
+    random_density,
+    random_hermitian,
+    random_lindblad_model,
+)
 
 from qmpemba import (
     LindbladModel,
@@ -218,13 +223,6 @@ class TestTrajectories:
         assert np.max(np.abs(traj.distances - ref.distances)) < 1e-6
 
 
-def _random_model(d: int, n_jumps: int, rng) -> LindbladModel:
-    jumps = tuple(
-        rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(n_jumps)
-    )
-    return LindbladModel(hamiltonian=random_hermitian(d, rng), jumps=jumps)
-
-
 class TestHybridTrajectory:
     DEFECT = 1e-3
 
@@ -236,7 +234,7 @@ class TestHybridTrajectory:
     )
     def test_burn_matches_oracle_then_hands_off(self, d, n_jumps, seed):
         rng = np.random.default_rng(seed)
-        model = _random_model(d, n_jumps, rng)
+        model = random_lindblad_model(d, n_jumps, rng)
         try:
             dec = decompose(build_liouvillian(model))
         except AssumptionViolation as exc:

@@ -4,8 +4,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from conftest import ALL_TO_ALL_REF, DICKE_REF, qubit_decay_model, random_density
+from conftest import (
+    ALL_TO_ALL_REF,
+    DICKE_REF,
+    qubit_decay_model,
+    random_density,
+    random_lindblad_model,
+)
 
 from qmpemba import (
     all_to_all_model,
@@ -14,14 +25,21 @@ from qmpemba import (
     dicke_model,
     hermitize_slow_mode,
 )
+from qmpemba import spectral
 from qmpemba.errors import (
+    AssumptionViolation,
     DegenerateSlowMode,
     DegenerateStationaryState,
     IllConditionedBasis,
+    NotHermitian,
     NotHermitianSlowMode,
 )
-from qmpemba.spectral import CONDITION_WARN_THRESHOLD, conjugation_closure_residual
-from qmpemba.superop import LindbladModel, vec
+from qmpemba.spectral import (
+    CONDITION_WARN_THRESHOLD,
+    conjugation_closure_residual,
+    hermitian_operator_basis_rows,
+)
+from qmpemba.superop import LindbladModel, Superoperator, unvec, vec
 
 RNG = np.random.default_rng(20240503)
 
@@ -31,6 +49,104 @@ REFERENCE_N20 = {
     "dicke": (-0.019039563635063296, -0.059887937598561834),
     "all-to-all": (-0.057511342263680536, complex(-0.2847421292911313, 1.6362027559587713)),
 }
+
+
+def _dense_basis_reference(d: int) -> np.ndarray:
+    """The basis rows written out in the documented order."""
+    rows = np.zeros((d * d, d * d), dtype=complex)
+    s2 = 1.0 / np.sqrt(2.0)
+    r = 0
+    for i in range(d):
+        rows[r, i + i * d] = 1.0
+        r += 1
+    for i in range(d):
+        for j in range(i + 1, d):
+            rows[r, i + j * d] = s2
+            rows[r, j + i * d] = s2
+            r += 1
+            rows[r, i + j * d] = -1j * s2
+            rows[r, j + i * d] = 1j * s2
+            r += 1
+    return rows
+
+
+class TestHermitianBasis:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_matches_documented_order(self, d):
+        basis = hermitian_operator_basis_rows(d)
+        assert sp.issparse(basis) and basis.format == "csr"
+        assert basis.shape == (d * d, d * d)
+        assert np.max(np.diff(basis.indptr)) <= 2
+        assert np.array_equal(basis.toarray(), _dense_basis_reference(d))
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_orthonormal_hermitian_rows(self, d):
+        basis = hermitian_operator_basis_rows(d)
+        gram = (basis @ basis.conj().T).toarray()
+        assert np.max(np.abs(gram - np.eye(d * d))) <= 1e-15
+        for row in basis.toarray():
+            op = unvec(row)
+            assert np.array_equal(op, op.conj().T)
+
+
+class TestNotHermiticityPreserving:
+    def test_raises_not_hermitian(self):
+        sup = Superoperator(matrix=1j * np.eye(4), kind="generator")
+        with pytest.raises(NotHermitian):
+            decompose(sup)
+
+
+class TestBlocks:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        n_jumps=st.integers(1, 3),
+        planted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_reproduce_the_dense_spectrum(self, d, n_jumps, planted, seed):
+        rng = np.random.default_rng(seed)
+        sup = build_liouvillian(random_lindblad_model(d, n_jumps, rng, planted))
+        m = d * d
+        reference = sla.eigvals(sup.matrix)
+
+        sizes = []
+        eig = spectral.sla.eig
+
+        def recording_eig(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return eig(a, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral.sla, "eig", recording_eig)
+            try:
+                dec = decompose(sup)
+                lam = dec.eigenvalues
+            except AssumptionViolation as exc:
+                dec = exc.decomposition
+                lam = dec.eigenvalues if dec is not None else exc.eigenvalues
+
+        assert sum(sizes) == m
+        if planted:
+            assert len(sizes) > 1
+        else:
+            assert sizes == [m]
+
+        # the two spectra as multisets: optimal one-to-one matching
+        dist = np.abs(lam[:, None] - reference[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        assert np.max(dist[rows, cols]) <= 1e-8 * np.max(np.abs(reference))
+
+        if dec is None:
+            return
+        assert dec.diagnostics.biorthonormality_residual <= 1e-8
+        # off-block entries of the full pairing are exact zeros
+        full = dec.left_pairing_rows() @ dec.right_vectors()
+        assert np.max(np.abs(full - np.eye(m))) == pytest.approx(
+            dec.diagnostics.biorthonormality_residual, rel=1e-6, abs=1e-14
+        )
+        assert np.array_equal(dec.left_modes[0], np.eye(d))
+        assert abs(np.trace(dec.stationary_state) - 1) < 1e-12
 
 
 class TestQubitDecay:
