@@ -1,11 +1,12 @@
 """Liouvillian spectral analysis and accelerated relaxation for open quantum systems.
 
-Builds Lindblad generators for collective-spin models, computes their full
-mode decomposition, constructs the initial unitary that removes the overlap
-with the slowest decaying mode, and propagates states by mode summation, with
-the exact exponential action of the sparse generator covering early times
-where the mode sum is inaccurate.  An independent Runge-Kutta integrator is
-kept as the test oracle for both routes.
+Builds Lindblad generators for collective-spin models as sparse CSR
+matrices, computes their full mode decomposition, constructs the initial
+unitary that removes the overlap with the slowest decaying mode, and
+propagates states in one loop: the exact exponential action of the sparse
+generator until the mode sum agrees with it (which may be at t=0), then the
+mode sum.  An independent Runge-Kutta integrator is kept as the test oracle
+for both routes.
 """
 
 __version__ = "0.1.0"
@@ -17,14 +18,11 @@ from .dynamics import (
     TimeGrid,
     TrajectoryRecord,
     evolve_integrator,
-    evolve_spectral,
     evolve_spectral_grid,
     find_plateau,
     fit_decay_rate,
     hs_distance,
-    integrator_trajectory,
     robust_trajectory,
-    spectral_trajectory,
 )
 from .linalg import HermitianEig, hermitian_eig
 from .models import (
@@ -87,14 +85,12 @@ __all__ = [
     "dicke_model",
     "errors",
     "evolve_integrator",
-    "evolve_spectral",
     "evolve_spectral_grid",
     "find_plateau",
     "fit_decay_rate",
     "hermitian_eig",
     "hermitize_slow_mode",
     "hs_distance",
-    "integrator_trajectory",
     "load_config",
     "optimal_unitary",
     "overlap_scan",
@@ -102,7 +98,6 @@ __all__ = [
     "robust_trajectory",
     "rotation_angle",
     "slow_mode_spectrum",
-    "spectral_trajectory",
     "spin_operators",
     "unvec",
     "vec",

@@ -1,25 +1,23 @@
 """Time evolution, distances to stationarity, and decay-rate fits.
 
-Production trajectories come from mode summation through a spectral
-decomposition; where the mode sum is inaccurate near t=0, the early segment
-uses the exact exponential action of the sparse generator instead.  A
-fixed-step fourth-order Runge-Kutta integrator, written directly with the
-model operators, never touches either route and is kept as the independent
-test oracle for both.
+Production trajectories come from one loop over the grid: the exact
+exponential action of the sparse generator until it agrees with the mode sum
+of a spectral decomposition, which may already happen at t=0, and the mode
+sum after that.  A fixed-step fourth-order Runge-Kutta integrator, written
+directly with the model operators, never touches either route and is kept as
+the independent test oracle for both.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse.linalg import expm_multiply, norm as sparse_norm
 
-from .errors import PoorFit, ShapeMismatch, WindowEmpty
+from .errors import NotHermitian, NotNormalized, PoorFit, ShapeMismatch, WindowEmpty
 from .linalg import as_matrix
 from .spectral import SpectralDecomposition
 from .superop import LindbladModel, build_liouvillian, unvec, vec
@@ -83,8 +81,8 @@ class TrajectoryRecord:
     times: np.ndarray
     distances: np.ndarray
     slow_overlaps: np.ndarray  # Tr(l_2 rho_t) along the trajectory
-    source: str  # "spectral" | "integrator" | "hybrid"
-    handoff_time: Optional[float] = None  # hybrid: first spectrally-evolved time
+    source: str  # "spectral": mode sum from t=0 | "hybrid": exact action first
+    handoff_time: Optional[float] = None  # first mode-sum time; None: never agreed
 
 
 def _check_density(rho, d: int, tol: float = 1e-10) -> np.ndarray:
@@ -92,34 +90,23 @@ def _check_density(rho, d: int, tol: float = 1e-10) -> np.ndarray:
     if rho.shape != (d, d):
         raise ShapeMismatch(f"state shape {rho.shape} does not match dimension {d}")
     if abs(np.trace(rho) - 1.0) > tol:
-        raise ValueError(f"state trace {np.trace(rho):.12g} differs from 1 beyond {tol:g}")
+        raise NotNormalized(f"state trace {np.trace(rho):.12g} differs from 1 beyond {tol:g}")
     if float(np.max(np.abs(rho - rho.conj().T))) > tol:
-        raise ValueError(f"state is not Hermitian within {tol:g}")
+        raise NotHermitian(f"state is not Hermitian within {tol:g}")
     return rho
 
 
-def evolve_spectral(dec: SpectralDecomposition, rho0, t: float) -> np.ndarray:
-    """State at time t from the mode expansion.
+def evolve_spectral_grid(dec: SpectralDecomposition, rho0, grid: TimeGrid) -> np.ndarray:
+    """Stack of states at all grid times via one mode-summation product.
 
     Sums ``r_1 + sum_k exp(t lam_k) Tr(l_k rho0) r_k``; conjugate mode pairs
     contribute adjoint terms, so symmetrizing the sum removes their O(eps)
     anti-Hermitian residue without touching the physics.
     """
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    return _evolve_times(dec, rho0, np.array([float(t)]))[0]
-
-
-def evolve_spectral_grid(dec: SpectralDecomposition, rho0, grid: TimeGrid) -> np.ndarray:
-    """Stack of states at all grid times via one mode-summation product."""
-    return _evolve_times(dec, rho0, grid.points)
-
-
-def _evolve_times(dec: SpectralDecomposition, rho0, times: np.ndarray) -> np.ndarray:
     d = dec.dim
     rho0 = _check_density(rho0, d)
     coeff = dec.left_pairing_rows() @ vec(rho0)
-    phases = np.exp(np.outer(times, dec.eigenvalues[1:]))
+    phases = np.exp(np.outer(grid.points, dec.eigenvalues[1:]))
     flat = (phases * coeff[1:][None, :]) @ dec.right_vectors().T[1:, :]
     states = flat.reshape(-1, d, d).transpose(0, 2, 1)
     states = states + dec.stationary_state[None, :, :] * coeff[0]
@@ -138,7 +125,7 @@ def _lindblad_rhs(h: np.ndarray, jumps, rho: np.ndarray) -> np.ndarray:
 def integrator_step_bound(model: LindbladModel) -> float:
     """Largest stable RK4 step: 0.05 over the generator's infinity norm."""
     gen = build_liouvillian(model).matrix
-    return RK4_STEP_FACTOR / float(np.linalg.norm(gen, np.inf))
+    return RK4_STEP_FACTOR / float(sparse_norm(gen, np.inf))
 
 
 def evolve_integrator(model: LindbladModel, rho0, grid: TimeGrid) -> np.ndarray:
@@ -184,7 +171,7 @@ def hs_distance(rho, sigma) -> float:
         raise ShapeMismatch(f"shapes {rho.shape} and {sigma.shape} differ")
     for name, m in (("rho", rho), ("sigma", sigma)):
         if float(np.max(np.abs(m - m.conj().T))) > 1e-8:
-            raise ValueError(f"{name} is not Hermitian within 1e-8")
+            raise NotHermitian(f"{name} is not Hermitian within 1e-8")
     return float(np.linalg.norm(rho - sigma, "fro"))
 
 
@@ -230,7 +217,7 @@ def fit_decay_rate(
     return fit
 
 
-def _record(dec, states, grid, source) -> TrajectoryRecord:
+def _record(dec, states, grid, source, handoff) -> TrajectoryRecord:
     ell2 = dec.left_modes[1]
     dists = np.array([hs_distance(s, dec.stationary_state) for s in states])
     overlaps = np.einsum("ij,tji->t", ell2, states)
@@ -239,21 +226,8 @@ def _record(dec, states, grid, source) -> TrajectoryRecord:
         distances=dists,
         slow_overlaps=overlaps,
         source=source,
+        handoff_time=handoff,
     )
-
-
-def spectral_trajectory(
-    dec: SpectralDecomposition, rho0, grid: TimeGrid
-) -> TrajectoryRecord:
-    """Distances to stationarity and slow-mode overlaps via mode summation."""
-    return _record(dec, evolve_spectral_grid(dec, rho0, grid), grid, "spectral")
-
-
-def integrator_trajectory(
-    model: LindbladModel, dec: SpectralDecomposition, rho0, grid: TimeGrid
-) -> TrajectoryRecord:
-    """Same observables with states from the RK4 route."""
-    return _record(dec, evolve_integrator(model, rho0, grid), grid, "integrator")
 
 
 def robust_trajectory(
@@ -265,41 +239,35 @@ def robust_trajectory(
     """Trajectory that is valid at every grid time, even on hard eigenbases.
 
     The mode sum is exact once the ill-conditioned fast modes have decayed,
-    but near t=0 its reconstruction defect (measurable as the distance between
-    the summed modes and the actual initial state) can be large when the
-    eigenvector basis is close to defective.  When that happens, the early
-    segment is propagated with the exact exponential action of the sparse
-    generator (``scipy.sparse.linalg.expm_multiply``, Al-Mohy & Higham 2011)
-    and handed over to the mode sum at the first grid time where the two
-    routes agree to ``AGREEMENT_TOL``; the agreement check makes the handoff
-    self-validating.  A grid that ends before they agree keeps the
-    exponential-action states throughout and has ``handoff_time`` None.
+    but near t=0 its reconstruction defect can be large when the eigenvector
+    basis is close to defective.  One loop walks the grid from its first
+    point, carrying the exact state: rho0 itself at t=0, and after that the
+    exact exponential action of the sparse generator
+    (``scipy.sparse.linalg.expm_multiply``, Al-Mohy & Higham 2011), which is
+    built only once an interval must be propagated.  At the first grid time
+    where the exact state and the mode sum agree to ``AGREEMENT_TOL``, the
+    mode sum takes over; the agreement check makes the handoff
+    self-validating.  A handoff at t=0 gives ``source`` "spectral" and
+    ``handoff_time`` 0.0; a later one gives "hybrid".  A grid that ends
+    before the two routes agree keeps the exact states throughout and has
+    ``handoff_time`` None.
     """
-    d = dec.dim
-    rho0 = _check_density(rho0, d)
-    states = evolve_spectral_grid(dec, rho0, grid)
-    defect0 = float(np.max(np.abs(_evolve_times(dec, rho0, np.zeros(1))[0] - rho0)))
-    zero_rows = grid.points == 0.0
-    states[zero_rows] = rho0
-    if defect0 <= AGREEMENT_TOL:
-        return _record(dec, states, grid, "spectral")
-
-    gen = csr_matrix(build_liouvillian(model).matrix)
-    v = vec(rho0)
-    t_prev = 0.0
-    handoff = None
+    states = evolve_spectral_grid(dec, rho0, grid)  # validates rho0
+    gen, v, t_prev, handoff = None, vec(rho0), 0.0, None
     for i, t in enumerate(grid.points):
-        if t == 0.0:
-            continue
-        v = expm_multiply((t - t_prev) * gen, v)
-        t_prev = t
+        if t > t_prev:
+            if gen is None:
+                gen = build_liouvillian(model).matrix
+            v = expm_multiply((t - t_prev) * gen, v)
+            t_prev = t
         rho = unvec(v)
         agreed = float(np.max(np.abs(states[i] - rho))) <= AGREEMENT_TOL
         states[i] = rho
         if agreed:
             handoff = float(t)
             break
-    return dataclasses.replace(_record(dec, states, grid, "hybrid"), handoff_time=handoff)
+    source = "spectral" if handoff == 0.0 else "hybrid"
+    return _record(dec, states, grid, source, handoff)
 
 
 def find_plateau(

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    NoConvergence,
     NoOppositeSign,
     NotNormalized,
     NoZeroEigenvalue,
@@ -141,7 +142,7 @@ def build_u1(psi, phis) -> np.ndarray:
     if phis.shape != (d, d):
         raise ShapeMismatch(f"basis shape {phis.shape} does not match state length {d}")
     if float(np.max(np.abs(phis.conj().T @ phis - np.eye(d)))) > 1e-10:
-        raise ValueError("phis columns are not orthonormal within 1e-10")
+        raise NoConvergence("phis columns are not orthonormal within 1e-10")
 
     drop = int(np.argmax(np.abs(psi)))
     aux = np.empty((d, d), dtype=complex)
@@ -156,7 +157,7 @@ def build_u1(psi, phis) -> np.ndarray:
             v -= aux[:, :col] @ (aux[:, :col].conj().T @ v)
         norm = np.linalg.norm(v)
         if norm < 1e-10:
-            raise ValueError("auxiliary basis completion degenerated")
+            raise NoConvergence("auxiliary basis completion degenerated")
         aux[:, col] = v / norm
         col += 1
     return phis @ aux.conj().T

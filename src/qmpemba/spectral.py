@@ -162,7 +162,7 @@ def _conjugate_partners(lam: np.ndarray, tol: float) -> np.ndarray:
     return partners
 
 
-def _blocks(lr: np.ndarray, basis: sp.csr_matrix) -> list[np.ndarray]:
+def _blocks(lr: sp.csr_matrix, basis: sp.csr_matrix) -> list[np.ndarray]:
     """Basis-row indices of the connected blocks of ``lr``, each ascending.
 
     Two rows are connected through a nonzero ``lr`` entry in either
@@ -172,7 +172,7 @@ def _blocks(lr: np.ndarray, basis: sp.csr_matrix) -> list[np.ndarray]:
     """
     m = lr.shape[0]
     node = basis.indices[basis.indptr[:-1]]  # first support position of each row
-    r, c = np.nonzero(lr)
+    r, c = lr.nonzero()
     graph = sp.csr_matrix((np.ones(r.size), (node[r], node[c])), shape=(m, m))
     _, labels = connected_components(graph, directed=True, connection="weak")
     labels = labels[node]
@@ -229,12 +229,13 @@ def decompose(
     tol_*_factor:
         Relative tolerances, scaled by ``max|eigenvalue|``.
 
-    The generator is taken to the Hermitian operator basis by the sparse map
-    of :func:`hermitian_operator_basis_rows`, where it is real; a generator
-    that does not preserve Hermiticity raises ``NotHermitian``.  Each
-    connected block of the real matrix (its nonzero pattern as a graph) gets
-    its own eigensolve, packed inverse and slow-mode polish, and the modes of
-    all blocks are merged into one sorted spectrum.  At N=40 the dicke
+    The CSR generator is taken to the Hermitian operator basis by the sparse
+    map of :func:`hermitian_operator_basis_rows`, where it is real and stays
+    sparse; a generator that does not preserve Hermiticity raises
+    ``NotHermitian``.  Each connected block of the real matrix (its nonzero
+    pattern as a graph) is densified on its own and gets its own eigensolve,
+    packed inverse and slow-mode polish, and the modes of all blocks are
+    merged into one sorted spectrum.  At N=40 the dicke
     generator splits into blocks of 841 and 840; the all-to-all generator is
     one block of 1681.
 
@@ -254,19 +255,19 @@ def decompose(
 
     basis = hermitian_operator_basis_rows(d)
     lr = basis.conj() @ mat @ basis.T
-    mat_scale = max(max_abs(mat), 1e-300)
-    if max_abs(lr.imag) > 1e-10 * mat_scale:
+    imag = float(abs(lr.imag).max())
+    if imag > 1e-10 * max(float(abs(mat).max()), 1e-300):
         raise NotHermitian(
             "generator is not Hermiticity-preserving: its matrix in a "
-            "Hermitian operator basis has imaginary part "
-            f"{max_abs(lr.imag):.3e}"
+            f"Hermitian operator basis has imaginary part {imag:.3e}"
         )
-    lr = np.ascontiguousarray(lr.real)
+    lr = lr.real
+    lr.eliminate_zeros()
 
-    # (basis rows, block of lr, sorted eigenvalues, eigenvectors) per block
+    # (basis rows, dense block of lr, sorted eigenvalues, eigenvectors) per block
     blocks = []
     for rows in _blocks(lr, basis):
-        sub = lr[np.ix_(rows, rows)]
+        sub = lr[rows][:, rows].toarray()
         try:
             lam_b, v_b = sla.eig(sub)
         except (sla.LinAlgError, ValueError) as exc:

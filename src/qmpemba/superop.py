@@ -1,4 +1,4 @@
-"""Lindblad generator and its adjoint as dense matrices on vectorized operators.
+"""Lindblad generator and its adjoint as sparse CSR matrices on vectorized operators.
 
 Vectorization is column-stacking, fixed package-wide: component ``i + j*d`` of
 ``vec(X)`` equals ``X[i, j]``, so ``vec(A @ X @ B) = (B.T ⊗ A) @ vec(X)``.
@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import NotHermitian, ShapeMismatch
 from .linalg import as_matrix, hermiticity_defect, max_abs
@@ -75,10 +76,17 @@ class LindbladModel:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Dense d**2 x d**2 matrix acting on column-stacked operators."""
+    """Sparse d**2 x d**2 matrix acting on column-stacked operators.
 
-    matrix: np.ndarray
+    The matrix is always stored as ``scipy.sparse.csr_matrix``; any other
+    input is converted on construction.
+    """
+
+    matrix: sp.csr_matrix
     kind: str  # "generator" | "adjoint-generator"
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", sp.csr_matrix(self.matrix))
 
     @property
     def dim(self) -> int:
@@ -95,7 +103,7 @@ class Superoperator:
 
 
 def build_liouvillian(model: LindbladModel) -> Superoperator:
-    """Assemble the generator of the quantum master equation as a matrix.
+    """Assemble the generator of the quantum master equation as a CSR matrix.
 
     In the column-stacking convention::
 
@@ -108,14 +116,14 @@ def build_liouvillian(model: LindbladModel) -> Superoperator:
     """
     h = model.hamiltonian
     d = model.dim
-    eye = np.eye(d, dtype=complex)
-    mat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    eye = sp.identity(d, dtype=complex, format="csr")
+    mat = -1j * (sp.kron(eye, h) - sp.kron(h.T, eye))
     for l_op in model.jumps:
         ldl = l_op.conj().T @ l_op
         mat += (
-            np.kron(l_op.conj(), l_op)
-            - 0.5 * np.kron(eye, ldl)
-            - 0.5 * np.kron(ldl.T, eye)
+            sp.kron(l_op.conj(), l_op)
+            - 0.5 * sp.kron(eye, ldl)
+            - 0.5 * sp.kron(ldl.T, eye)
         )
     return Superoperator(matrix=mat, kind="generator")
 
@@ -129,13 +137,13 @@ def build_adjoint_liouvillian(model: LindbladModel) -> Superoperator:
     """
     h = model.hamiltonian
     d = model.dim
-    eye = np.eye(d, dtype=complex)
-    mat = 1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    eye = sp.identity(d, dtype=complex, format="csr")
+    mat = 1j * (sp.kron(eye, h) - sp.kron(h.T, eye))
     for l_op in model.jumps:
         ldl = l_op.conj().T @ l_op
         mat += (
-            np.kron(l_op.T, l_op.conj().T)
-            - 0.5 * np.kron(eye, ldl)
-            - 0.5 * np.kron(ldl.T, eye)
+            sp.kron(l_op.T, l_op.conj().T)
+            - 0.5 * sp.kron(eye, ldl)
+            - 0.5 * sp.kron(ldl.T, eye)
         )
     return Superoperator(matrix=mat, kind="adjoint-generator")

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -22,20 +22,24 @@ from qmpemba import (
     build_liouvillian,
     decompose,
     evolve_integrator,
-    evolve_spectral,
     evolve_spectral_grid,
     find_plateau,
     fit_decay_rate,
     hs_distance,
-    integrator_trajectory,
     robust_trajectory,
-    spectral_trajectory,
     unvec,
     vec,
 )
 from qmpemba import dynamics
 from qmpemba.dynamics import AGREEMENT_TOL
-from qmpemba.errors import AssumptionViolation, PoorFit, ShapeMismatch, WindowEmpty
+from qmpemba.errors import (
+    AssumptionViolation,
+    NotHermitian,
+    NotNormalized,
+    PoorFit,
+    ShapeMismatch,
+    WindowEmpty,
+)
 
 RNG = np.random.default_rng(20240505)
 
@@ -63,18 +67,19 @@ class TestEvolveSpectral:
     def test_initial_state_recovered(self, dicke6):
         _, dec = dicke6
         rho0 = random_density(dec.dim, RNG)
-        assert np.max(np.abs(evolve_spectral(dec, rho0, 0.0) - rho0)) < 1e-8
+        rho_0 = evolve_spectral_grid(dec, rho0, TimeGrid.linear(0.0, 1.0, 2))[0]
+        assert np.max(np.abs(rho_0 - rho0)) < 1e-8
 
     def test_long_time_limit(self, dicke6):
         _, dec = dicke6
         rho0 = random_density(dec.dim, RNG)
-        rho_inf = evolve_spectral(dec, rho0, 50.0 * dec.tau)
+        rho_inf = evolve_spectral_grid(dec, rho0, TimeGrid.linear(0.0, 50.0 * dec.tau, 2))[-1]
         assert np.max(np.abs(rho_inf - dec.stationary_state)) < 1e-8
 
     def test_stationary_fixed_point(self, dicke6):
         _, dec = dicke6
-        for t in (0.0, 1.0, 10.0):
-            rho_t = evolve_spectral(dec, dec.stationary_state, t)
+        grid = TimeGrid(points=np.array([0.0, 1.0, 10.0]))
+        for rho_t in evolve_spectral_grid(dec, dec.stationary_state, grid):
             assert np.max(np.abs(rho_t - dec.stationary_state)) < 1e-9
 
     def test_trace_and_hermiticity_preserved(self, all_to_all6):
@@ -86,10 +91,17 @@ class TestEvolveSpectral:
             assert abs(np.trace(rho) - 1) < 1e-9
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-9
 
-    def test_negative_time_rejected(self, dicke6):
+    def test_state_trace_checked(self, dicke6):
         _, dec = dicke6
-        with pytest.raises(ValueError):
-            evolve_spectral(dec, dec.stationary_state, -1.0)
+        with pytest.raises(NotNormalized):
+            evolve_spectral_grid(dec, 2 * dec.stationary_state, TimeGrid.linear(0.0, 1.0, 2))
+
+    def test_state_hermiticity_checked(self, dicke6):
+        _, dec = dicke6
+        rho = dec.stationary_state.copy()
+        rho[0, 1] += 1e-3
+        with pytest.raises(NotHermitian):
+            evolve_spectral_grid(dec, rho, TimeGrid.linear(0.0, 1.0, 2))
 
 
 class TestEvolveIntegrator:
@@ -151,7 +163,7 @@ class TestHsDistance:
             hs_distance(np.eye(2), np.eye(3))
 
     def test_hermiticity_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotHermitian):
             hs_distance(np.array([[0, 1], [0, 0]]), np.eye(2))
 
 
@@ -191,10 +203,10 @@ class TestFitDecayRate:
 
 class TestTrajectories:
     def test_spectral_record(self, dicke6):
-        _, dec = dicke6
+        model, dec = dicke6
         rho0 = random_density(dec.dim, RNG)
         grid = TimeGrid.linear(0.0, 4.0, 9)
-        traj = spectral_trajectory(dec, rho0, grid)
+        traj = robust_trajectory(model, dec, rho0, grid)
         assert traj.source == "spectral"
         assert traj.distances[0] == pytest.approx(
             hs_distance(rho0, dec.stationary_state), abs=1e-9
@@ -205,22 +217,27 @@ class TestTrajectories:
         model, dec = dicke6
         rho0 = random_density(dec.dim, RNG)
         grid = TimeGrid.linear(0.0, 6.0, 13)
-        a = spectral_trajectory(dec, rho0, grid)
-        b = integrator_trajectory(model, dec, rho0, grid)
-        assert np.max(np.abs(a.distances - b.distances)) < 1e-6
-        assert np.max(np.abs(a.slow_overlaps - b.slow_overlaps)) < 1e-6
+        traj = robust_trajectory(model, dec, rho0, grid)
+        states = evolve_integrator(model, rho0, grid)
+        distances = [hs_distance(s, dec.stationary_state) for s in states]
+        overlaps = np.einsum("ij,tji->t", dec.left_modes[1], states)
+        assert np.max(np.abs(traj.distances - distances)) < 1e-6
+        assert np.max(np.abs(traj.slow_overlaps - overlaps)) < 1e-6
 
     def test_robust_is_spectral_on_clean_basis(self, all_to_all6):
         model, dec = all_to_all6
         rho0 = random_density(dec.dim, RNG)
         grid = TimeGrid.linear(0.0, 6.0, 13)
-        traj = robust_trajectory(model, dec, rho0, grid)
+        with mock.patch.object(dynamics, "build_liouvillian") as build:
+            traj = robust_trajectory(model, dec, rho0, grid)
         assert traj.source == "spectral"
-        assert traj.handoff_time is None
+        assert traj.handoff_time == 0.0
+        build.assert_not_called()  # nothing was propagated exactly
         # t=0 row is anchored to the initial state itself
         assert traj.distances[0] == hs_distance(rho0, dec.stationary_state)
-        ref = integrator_trajectory(model, dec, rho0, grid)
-        assert np.max(np.abs(traj.distances - ref.distances)) < 1e-6
+        states = evolve_integrator(model, rho0, grid)
+        distances = [hs_distance(s, dec.stationary_state) for s in states]
+        assert np.max(np.abs(traj.distances - distances)) < 1e-6
 
 
 class TestHybridTrajectory:
@@ -262,7 +279,7 @@ class TestHybridTrajectory:
         assert traj.source == "hybrid"
         assert traj.handoff_time is not None
         h = int(np.searchsorted(grid.points, traj.handoff_time))
-        gen = build_liouvillian(model).matrix
+        gen = build_liouvillian(model).matrix.toarray()
         exact_burn = [unvec(sla.expm(t * gen) @ vec(rho0)) for t in grid.points[: h + 1]]
         assert np.max(np.abs(states[: h + 1] - exact_burn)) < 1e-10
         # RK4 at its fixed step 0.05/||L||_inf is itself off by up to ~2e-8
@@ -275,6 +292,41 @@ class TestHybridTrajectory:
         assert np.max(np.abs(states[h:] - unperturbed[h:])) < 2 * AGREEMENT_TOL
         assert np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1)) < 1e-10
         assert np.max(np.abs(states - states.conj().transpose(0, 2, 1))) < 1e-10
+
+
+class TestOneTrajectoryLoop:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        n_jumps=st.integers(1, 3),
+        planted=st.booleans(),
+        from_zero=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exact_on_every_grid_time(self, d, n_jumps, planted, from_zero, seed):
+        rng = np.random.default_rng(seed)
+        model = random_lindblad_model(d, n_jumps, rng, planted)
+        try:
+            dec = decompose(build_liouvillian(model))
+        except AssumptionViolation as exc:
+            dec = exc.decomposition
+        assume(dec is not None)  # no unique stationary state
+        rho0 = random_density(d, rng)
+        t_start = 0.0 if from_zero else 0.25 * dec.tau
+        grid = TimeGrid.linear(t_start, t_start + 4.0 * dec.tau, 33)
+
+        with mock.patch.object(dynamics, "_record", wraps=dynamics._record) as record:
+            traj = robust_trajectory(model, dec, rho0, grid)
+        states = record.call_args.args[1]
+
+        gen = build_liouvillian(model).matrix.toarray()
+        exact = [unvec(sla.expm(t * gen) @ vec(rho0)) for t in grid.points]
+        assert np.max(np.abs(states - exact)) < 2 * AGREEMENT_TOL
+        assert np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1)) < 1e-10
+        assert np.max(np.abs(states - states.conj().transpose(0, 2, 1))) < 1e-10
+        assert (traj.handoff_time == 0.0) == (traj.source == "spectral")
+        if not from_zero:
+            assert traj.source == "hybrid"
 
 
 class TestLateTimeAffinity:
@@ -300,7 +352,7 @@ class TestLateTimeAffinity:
         psi_rot = rot.unitary @ psi
         rho = np.outer(psi_rot, psi_rot.conj())
         grid = TimeGrid.linear(5.0 / rate3, 14.0 / rate3, 200)
-        traj = spectral_trajectory(dec, rho, grid)
+        traj = robust_trajectory(model, dec, rho, grid)
         log_e = np.log(traj.distances)
         design = np.vstack([traj.times, np.ones_like(traj.times)]).T
         sol, *_ = np.linalg.lstsq(design, log_e, rcond=None)

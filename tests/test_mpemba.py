@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from qmpemba import (
     slow_mode_spectrum,
 )
 from qmpemba.errors import (
+    NoConvergence,
     NoOppositeSign,
     NotNormalized,
     NoZeroEigenvalue,
@@ -100,6 +103,21 @@ class TestBuildU1:
         with pytest.raises(NotNormalized):
             build_u1(np.array([1.0, 1.0]), np.eye(2, dtype=complex))
 
+    def test_non_orthonormal_phis(self):
+        phis = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(NoConvergence):
+            build_u1(np.array([1.0, 0.0], dtype=complex), phis)
+
+    def test_degenerate_completion(self, monkeypatch):
+        # the completion cannot collapse in exact arithmetic (psi has an
+        # entry of modulus >= 1/sqrt(d)); a collapsed vector is simulated by
+        # a norm that reads 0 for everything but psi itself
+        psi = np.array([1.0, 0.0], dtype=complex)
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda x: norm(x) if x is psi else 0.0)
+        with pytest.raises(NoConvergence):
+            build_u1(psi, np.eye(2, dtype=complex))
+
 
 class TestRotationAngle:
     def test_symmetric_pair(self):
@@ -183,6 +201,26 @@ class TestOptimalUnitary:
             assert _unitarity_defect(rot.unitary) <= 1e-10
             assert rot.branch == "rotation"
             assert 0 < rot.s_bar < np.pi / 2
+
+    def test_permutation_branch(self, dicke6):
+        # the reference models never reach it: plant a slow mode whose
+        # spectrum has a zero and no opposite sign
+        _, dec = dicke6
+        d = dec.dim
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        alphas = np.array([3, 2, 2, 1, 1, 0.5, 0], dtype=complex)
+        left = dec.left_modes.copy()
+        left[1] = q @ np.diag(alphas) @ q.conj().T
+        planted = dataclasses.replace(dec, left_modes=left)
+        psi = random_pure_state(d - 1, 0)
+        rot = optimal_unitary(planted, psi)
+        assert rot.branch == "permutation"
+        assert rot.s_bar is None
+        assert rot.residual_overlap <= 2e-16
+        assert _unitarity_defect(rot.unitary) <= 4e-15
+        with pytest.raises(ZeroBranch):
+            overlap_scan(planted, psi, [0.0])
 
     def test_rotated_state_stays_pure(self, dicke6):
         _, dec = dicke6

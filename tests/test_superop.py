@@ -111,7 +111,7 @@ class TestLiouvillian:
     def test_amplitude_damping_spectrum(self):
         kappa = 2.3
         sup = build_liouvillian(qubit_decay_model(kappa))
-        lam = np.sort(np.linalg.eigvals(sup.matrix).real)
+        lam = np.sort(np.linalg.eigvals(sup.matrix.toarray()).real)
         assert np.allclose(lam, [-kappa, -kappa / 2, -kappa / 2, 0], atol=1e-10)
 
 
