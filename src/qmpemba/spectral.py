@@ -91,11 +91,19 @@ class SpectralDecomposition:
     ``eigenvalues[k]`` pairs ``left_modes[k]`` with ``right_modes[k]`` under
     the trace pairing; ``left_modes[0]`` is the identity and
     ``right_modes[0]`` the trace-one stationary state.
+
+    ``blocks`` holds one ``(modes, support)`` pair of index arrays per
+    connected block of the generator: the block's global mode indices, in
+    ascending order and so sorted by ``|Re lambda|``, and the ascending
+    column-stacking positions ``i + j d`` of its support.  The supports are
+    disjoint and every right and left mode of a block is exactly zero outside
+    its support, so a mode sum can run block by block over the support alone.
     """
 
     eigenvalues: np.ndarray
     right_modes: np.ndarray
     left_modes: np.ndarray
+    blocks: tuple
     stationary_state: np.ndarray
     tau: float
     gap3: float
@@ -109,11 +117,6 @@ class SpectralDecomposition:
         """Rows w_k with ``Tr(l_k X) = w_k . vec(X)`` (column-stacking)."""
         m = self.left_modes.shape[0]
         return self.left_modes.reshape(m, -1)
-
-    def right_vectors(self) -> np.ndarray:
-        """Columns ``vec(r_k)`` (column-stacking)."""
-        m = self.right_modes.shape[0]
-        return self.right_modes.transpose(0, 2, 1).reshape(m, -1).T
 
 
 def hermitian_operator_basis_rows(d: int) -> sp.csr_matrix:
@@ -437,10 +440,12 @@ def decompose(
     # max|Tr(l_k r_h) - delta_kh|: the blocks have disjoint column-stacking
     # supports, so every entry of the pairing outside the blocks is exactly 0
     biorth = 0.0
+    mode_blocks = []
     for (rows, *_), pos in zip(blocks, modes):
         support = np.unique(basis[rows].indices)
         pairing = w_rows[np.ix_(pos, support)] @ v_cols[np.ix_(support, pos)]
         biorth = max(biorth, float(np.max(np.abs(pairing - np.eye(pos.size)))))
+        mode_blocks.append((pos, support))
     fixed_point = float(np.max(np.abs(mat @ vec(stationary)))) / scale
     diagnostics = Diagnostics(
         condition_estimate=cond,
@@ -457,6 +462,7 @@ def decompose(
         eigenvalues=lam,
         right_modes=right_modes,
         left_modes=left_modes,
+        blocks=tuple(mode_blocks),
         stationary_state=stationary,
         tau=tau,
         gap3=gap3,

@@ -166,6 +166,26 @@ class TestHsDistance:
         with pytest.raises(NotHermitian):
             hs_distance(np.array([[0, 1], [0, 0]]), np.eye(2))
 
+    def test_stack_matches_pairwise(self):
+        stack = np.array([random_hermitian(4, RNG) for _ in range(7)])
+        sigma = random_density(4, RNG)
+        dists = hs_distance(stack, sigma)
+        assert isinstance(hs_distance(stack[0], sigma), float)
+        assert dists.shape == (7,)
+        pairwise = [np.linalg.norm(s - sigma, "fro") for s in stack]
+        assert np.allclose(dists, pairwise, rtol=4 * np.finfo(float).eps, atol=0)
+
+    def test_stack_checked(self):
+        stack = np.array([random_hermitian(3, RNG) for _ in range(3)])
+        stack[1, 0, 2] += 1e-6
+        with pytest.raises(NotHermitian):
+            hs_distance(stack, np.eye(3))
+        stack[1, 0, 2] = np.nan
+        with pytest.raises(ValueError):
+            hs_distance(stack, np.eye(3))
+        with pytest.raises(ShapeMismatch):
+            hs_distance(np.zeros((3, 2, 3)), np.zeros((2, 3)))
+
 
 class TestFitDecayRate:
     def test_exact_exponential(self):
@@ -327,6 +347,52 @@ class TestOneTrajectoryLoop:
         assert (traj.handoff_time == 0.0) == (traj.source == "spectral")
         if not from_zero:
             assert traj.source == "hybrid"
+
+
+class TestActiveModeSum:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        n_jumps=st.integers(1, 3),
+        planted=st.booleans(),
+        from_zero=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_untruncated_sum(self, d, n_jumps, planted, from_zero, seed):
+        rng = np.random.default_rng(seed)
+        model = random_lindblad_model(d, n_jumps, rng, planted)
+        try:
+            dec = decompose(build_liouvillian(model))
+        except AssumptionViolation as exc:
+            dec = exc.decomposition
+        assume(dec is not None)  # no unique stationary state
+        m = d * d
+        right = dec.right_modes.transpose(0, 2, 1).reshape(m, -1)  # rows vec(r_k)
+        left = dec.left_pairing_rows()
+
+        # the block invariants the block-wise sum relies on
+        modes = np.concatenate([block[0] for block in dec.blocks])
+        supports = np.concatenate([block[1] for block in dec.blocks])
+        assert np.array_equal(np.sort(modes), np.arange(m))
+        assert np.unique(supports).size == supports.size
+        for block_modes, support in dec.blocks:
+            outside = np.setdiff1d(np.arange(m), support)
+            assert not np.any(right[np.ix_(block_modes, outside)])
+            assert not np.any(left[np.ix_(block_modes, outside)])
+
+        rho0 = random_density(d, rng)
+        t_start = 0.0 if from_zero else 2.0 * dec.tau
+        grid = TimeGrid.linear(t_start, t_start + 8.0 * dec.tau, 97)
+        coeff = left @ vec(rho0)
+        terms = np.exp(np.outer(grid.points, dec.eigenvalues)) * coeff
+        reference = (terms[:, 1:] @ right[1:]).reshape(-1, d, d).transpose(0, 2, 1)
+        reference = reference + coeff[0] * dec.stationary_state
+        reference = (reference + reference.conj().transpose(0, 2, 1)) / 2
+        # sum_k |c_k| max|r_k| e^{Re lam_k t}: the rounding bound of the full sum
+        bound = np.abs(terms) @ np.abs(right).max(axis=1)
+        states = evolve_spectral_grid(dec, rho0, grid)
+        err = np.max(np.abs(states - reference), axis=(1, 2))
+        assert np.all(err <= 8 * (np.finfo(float).eps / 2) * bound)
 
 
 class TestLateTimeAffinity:

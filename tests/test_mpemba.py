@@ -4,13 +4,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_density
+from conftest import random_density, random_lindblad_model
 
 from qmpemba import (
+    build_liouvillian,
     build_permutation,
     build_rotation,
     build_u1,
+    decompose,
     optimal_unitary,
     overlap_scan,
     random_pure_state,
@@ -18,6 +22,7 @@ from qmpemba import (
     slow_mode_spectrum,
 )
 from qmpemba.errors import (
+    AssumptionViolation,
     NoConvergence,
     NoOppositeSign,
     NotNormalized,
@@ -201,6 +206,25 @@ class TestOptimalUnitary:
             assert _unitarity_defect(rot.unitary) <= 1e-10
             assert rot.branch == "rotation"
             assert 0 < rot.s_bar < np.pi / 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        n_jumps=st.integers(1, 3),
+        planted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_zeroes_the_overlap_on_random_models(self, d, n_jumps, planted, seed):
+        rng = np.random.default_rng(seed)
+        try:
+            dec = decompose(build_liouvillian(random_lindblad_model(d, n_jumps, rng, planted)))
+        except AssumptionViolation:
+            assume(False)  # no unique real slow mode to remove
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        psi /= np.linalg.norm(psi)
+        rot = optimal_unitary(dec, psi)
+        assert rot.residual_overlap <= 1e-9 * np.max(np.abs(dec.left_modes[1]))
+        assert _unitarity_defect(rot.unitary) <= 1e-10
 
     def test_permutation_branch(self, dicke6):
         # the reference models never reach it: plant a slow mode whose

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -141,7 +141,7 @@ class TestBlocks:
             return
         assert dec.diagnostics.biorthonormality_residual <= 1e-8
         # off-block entries of the full pairing are exact zeros
-        full = dec.left_pairing_rows() @ dec.right_vectors()
+        full = dec.left_pairing_rows() @ dec.right_modes.transpose(0, 2, 1).reshape(m, -1).T
         assert np.max(np.abs(full - np.eye(m))) == pytest.approx(
             dec.diagnostics.biorthonormality_residual, rel=1e-6, abs=1e-14
         )
@@ -182,6 +182,28 @@ class TestDegenerateStationary:
         with pytest.raises(DegenerateStationaryState) as err:
             decompose(build_liouvillian(model))
         assert err.value.eigenvalues is not None
+
+
+class TestStationaryState:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        n_jumps=st.integers(1, 3),
+        planted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_unit_trace_and_positive(self, d, n_jumps, planted, seed):
+        rng = np.random.default_rng(seed)
+        try:
+            dec = decompose(build_liouvillian(random_lindblad_model(d, n_jumps, rng, planted)))
+        except AssumptionViolation as exc:
+            dec = exc.decomposition
+        assume(dec is not None)  # no unique stationary state
+        rho = dec.stationary_state
+        assert abs(np.trace(rho) - 1) < 1e-12
+        assert np.array_equal(rho, rho.conj().T)
+        assert np.min(np.linalg.eigvalsh(rho)) >= -1e-10
+        assert dec.diagnostics.stationary_min_eigenvalue >= -1e-10
 
 
 class TestStructure:
