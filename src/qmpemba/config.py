@@ -8,6 +8,7 @@ model).  Unknown keys are an error, not a warning.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -51,6 +52,13 @@ class ExperimentConfig:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.t_points < 2 or self.s_points < 2:
             raise ConfigError("t_points and s_points must be >= 2")
         if self.t_spacing not in ("linear", "logarithmic"):

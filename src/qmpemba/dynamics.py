@@ -37,7 +37,7 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing, non-negative times."""
+    """Strictly increasing, non-negative, finite times."""
 
     points: np.ndarray
 
@@ -45,6 +45,8 @@ class TimeGrid:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("time grid needs at least two points")
+        if not np.isfinite(pts).all():
+            raise ValueError("time grid points must be finite")
         if pts[0] < 0 or np.any(np.diff(pts) <= 0):
             raise ValueError("time grid must be strictly increasing and start at t >= 0")
         object.__setattr__(self, "points", pts)
@@ -106,44 +108,70 @@ def evolve_spectral_grid(dec: SpectralDecomposition, rho0, grid: TimeGrid) -> np
 
     Sums ``r_1 + sum_k exp(t lam_k) Tr(l_k rho0) r_k``.  Each block of
     ``dec.blocks`` contributes one product per chunk of grid times, over its
-    own support only and over the active prefix of its modes (they are sorted
-    by ``|Re lam|``): with weights ``w_k = |c_k| max|r_k|``, the tail of modes
-    whose bound ``sum_{j>=n} w_j exp(t Re lam_j)`` is at most ``u`` times the
-    whole block's bound at every time of the chunk is dropped, where ``u`` is
-    the unit roundoff.  That is the a-priori rounding bound of the untruncated
-    sum, so the truncation stays at the rounding floor; at t=0 it can drop
-    only a tail whose weights are themselves at that floor.  Conjugate mode
-    pairs contribute adjoint terms, so symmetrizing the sum removes their
-    O(eps) anti-Hermitian residue without touching the physics.
+    own support only and over the active prefix of its modes that
+    ``_active_prefix`` counts at the chunk's first time.  The grid is walked
+    chunk by chunk: the stationary term, every block's product and the
+    symmetrization are applied to one chunk-sized buffer before it is written
+    to the output, so the state stack is written once.  Conjugate mode pairs
+    contribute adjoint terms, so symmetrizing the sum removes their O(eps)
+    anti-Hermitian residue without touching the physics.  Nothing is kept
+    between calls.
     """
     d = dec.dim
     rho0 = _check_density(rho0, d)
     coeff = dec.left_pairing_rows() @ vec(rho0)
     times = grid.points
-    flat = np.zeros((times.size, d * d), dtype=complex)  # row-major, i d + j
+    starts = times[::_MODE_SUM_CHUNK]
+    flat_right = dec.right_modes.reshape(dec.eigenvalues.size, d * d)  # rows r_k, i d + j
+    terms = []
     for modes, support in dec.blocks:
         modes = modes[modes != 0]  # the stationary term is added exactly below
         i, j = support % d, support // d  # column-stacking position i + j d
         cols = i * d + j
-        right = dec.right_modes[modes[:, None], i, j]
+        right = flat_right[np.ix_(modes, cols)]  # one gather, no row-sized transient
         lam, c = dec.eigenvalues[modes], coeff[modes]
-        weight = np.abs(c) * np.abs(right).max(axis=1, initial=0.0)
-        for start in range(0, times.size, _MODE_SUM_CHUNK):
-            t = times[start : start + _MODE_SUM_CHUNK]
-            n = _active_prefix(weight, lam.real, t)
+        weight = np.abs(c) * np.abs(right).max(axis=1)
+        terms.append((cols, right, lam, c, _active_prefix(weight, lam.real, starts)))
+    stationary = (dec.stationary_state * coeff[0]).ravel()
+    states = np.empty((times.size, d, d), dtype=complex)
+    buf = np.empty((_MODE_SUM_CHUNK, d * d), dtype=complex)
+    for k, start in enumerate(range(0, times.size, _MODE_SUM_CHUNK)):
+        t = times[start : start + _MODE_SUM_CHUNK]
+        chunk = buf[: t.size]
+        chunk[:] = stationary
+        for cols, right, lam, c, prefix in terms:
+            n = prefix[k]
             if n:
                 phases = np.exp(np.outer(t, lam[:n])) * c[:n]
-                flat[start : start + t.size, cols] = phases @ right[:n]
-    states = flat.reshape(-1, d, d) + dec.stationary_state * coeff[0]
-    return (states + states.conj().transpose(0, 2, 1)) / 2
+                chunk[:, cols] += phases @ right[:n]
+        square = chunk.reshape(-1, d, d)
+        out = states[start : start + t.size]
+        np.conjugate(square.transpose(0, 2, 1), out=out)
+        out += square
+        out *= 0.5
+    return states
 
 
-def _active_prefix(weight: np.ndarray, rate: np.ndarray, t: np.ndarray) -> int:
-    """Fewest leading modes whose dropped tail is within ``u`` of the bound at all ``t``."""
-    terms = weight * np.exp(np.outer(t, rate))
+def _active_prefix(weight: np.ndarray, rate: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Fewest leading modes whose dropped tail is within ``u`` of the bound, per chunk start.
+
+    With weights ``w_k = |c_k| max|r_k|``, the tail of modes whose bound
+    ``tail_n(t) = sum_{j>=n} w_j exp(t Re lam_j)`` is at most ``u`` (the unit
+    roundoff) times the block's whole bound ``tail_0(t)`` is dropped.  That
+    is the a-priori rounding bound of the untruncated sum, so the truncation
+    stays at the rounding floor; at t=0 it can drop only a tail whose weights
+    are themselves at that floor.
+
+    The count is taken at each chunk's first time only, and that is the same
+    bound at every later time of the chunk: the modes are sorted by
+    ``|Re lam|`` and every non-stationary ``Re lam <= 0``, so the tail's rates
+    are no larger than the head's, ``tail_n / (tail_0 - tail_n)`` does not
+    increase with t, and neither does ``tail_n(t) / tail_0(t)``.  A prefix
+    that is enough at a chunk's first time is enough for the whole chunk.
+    """
+    terms = weight * np.exp(np.outer(starts, rate))
     tail = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]  # tail[:, n] = sum_{j>=n}
-    live = tail > _UNIT_ROUNDOFF * tail[:, :1]
-    return int(live.sum(axis=1).max(initial=0))
+    return (tail > _UNIT_ROUNDOFF * tail[:, :1]).sum(axis=1)
 
 
 def _lindblad_rhs(h: np.ndarray, jumps, rho: np.ndarray) -> np.ndarray:
@@ -202,27 +230,33 @@ def hs_distance(rho, sigma):
 
     ``rho`` and ``sigma`` are square matrices or stacks ``(..., d, d)`` of
     them that broadcast against each other; two matrices give a float, stacks
-    an array of distances.
+    an array of distances.  Both must be finite and Hermitian within 1e-8.
+    One scratch buffer of the broadcast shape holds first each operand's
+    anti-Hermitian part, whose largest modulus is also the finiteness test,
+    and then the difference, whose norm is one reduction over its real view.
     """
-    rho, sigma = _as_matrix_stack(rho), _as_matrix_stack(sigma)
+    rho, sigma = np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
+    for m in (rho, sigma):
+        if m.ndim < 2 or m.shape[-1] < 1 or m.shape[-2] < 1:
+            raise ShapeMismatch(f"expected a matrix or a stack of matrices, got shape {m.shape}")
     if rho.shape[-2:] != sigma.shape[-2:] or rho.shape[-1] != rho.shape[-2]:
         raise ShapeMismatch(
             f"shapes {rho.shape} and {sigma.shape} are not matching square matrices"
         )
+    buf = np.empty(np.broadcast_shapes(rho.shape, sigma.shape), dtype=complex)
     for name, m in (("rho", rho), ("sigma", sigma)):
-        if float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)))) > 1e-8:
+        part = buf[(0,) * (buf.ndim - m.ndim)]  # leading broadcast axes dropped
+        np.conjugate(m.swapaxes(-1, -2), out=part)
+        np.subtract(m, part, out=part)
+        defect = float(np.max(np.abs(part)))  # nan or inf if m is not finite
+        if not defect <= 1e-8:
+            if not np.isfinite(m).all():
+                raise ValueError(f"{name} contains non-finite entries")
             raise NotHermitian(f"{name} is not Hermitian within 1e-8")
-    dist = np.linalg.norm(rho - sigma, axis=(-2, -1))
+    np.subtract(rho, sigma, out=buf)
+    flat = buf.view(float).reshape(*buf.shape[:-2], -1)
+    dist = np.sqrt(np.einsum("...i,...i->...", flat, flat))
     return float(dist) if dist.ndim == 0 else dist
-
-
-def _as_matrix_stack(a) -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] < 1 or m.shape[-2] < 1:
-        raise ShapeMismatch(f"expected a matrix or a stack of matrices, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
-    return m
 
 
 def fit_decay_rate(

@@ -172,8 +172,12 @@ def rotation_angle(alpha_1: float, alpha_n: float) -> float:
     return float(np.arctan(np.sqrt(abs(alpha_1 / alpha_n))))
 
 
-def build_rotation(levels: SlowModeSpectrum, s: float) -> np.ndarray:
-    """Two-level rotation ``1 + (cos s - 1) F^2 - i sin(s) F`` (unitary, U(0)=1)."""
+def build_rotation(levels: SlowModeSpectrum, s) -> np.ndarray:
+    """Two-level rotation ``1 + (cos s - 1) F^2 - i sin(s) F`` (unitary, U(0)=1).
+
+    ``s`` is one angle, giving a ``(d, d)`` matrix, or an array of angles,
+    giving the stack ``(*s.shape, d, d)`` of the rotations at each angle.
+    """
     if levels.zero_branch:
         raise ZeroBranch(
             "rotation undefined on the zero branch; use build_permutation"
@@ -183,6 +187,7 @@ def build_rotation(levels: SlowModeSpectrum, s: float) -> np.ndarray:
     f = np.outer(p1, pn.conj()) + np.outer(pn, p1.conj())
     f2 = np.outer(p1, p1.conj()) + np.outer(pn, pn.conj())
     d = p1.size
+    s = np.asarray(s, dtype=float)[..., None, None]
     return np.eye(d, dtype=complex) + (np.cos(s) - 1.0) * f2 - 1j * np.sin(s) * f
 
 
@@ -201,8 +206,9 @@ def build_permutation(levels: SlowModeSpectrum) -> np.ndarray:
     return u
 
 
-def _overlap(ell2: np.ndarray, u: np.ndarray, rho0: np.ndarray) -> complex:
-    return complex(np.trace(ell2 @ u @ rho0 @ u.conj().T))
+def _overlap(ell2: np.ndarray, u: np.ndarray, rho0: np.ndarray) -> np.ndarray:
+    """``Tr(l2 U rho0 U^dagger)`` for one unitary or a stack of them."""
+    return np.trace(ell2 @ u @ rho0 @ u.conj().swapaxes(-1, -2), axis1=-2, axis2=-1)
 
 
 def optimal_unitary(dec: SpectralDecomposition, psi) -> MpembaRotation:
@@ -237,7 +243,7 @@ def optimal_unitary(dec: SpectralDecomposition, psi) -> MpembaRotation:
         unitary=unitary,
         branch=branch,
         s_bar=s_bar,
-        residual_overlap=abs(_overlap(ell2, unitary, rho0)),
+        residual_overlap=float(abs(_overlap(ell2, unitary, rho0))),
         initial_overlap=float(np.real(np.vdot(psi, ell2 @ psi))),
         slow_spectrum=levels,
     )
@@ -246,9 +252,10 @@ def optimal_unitary(dec: SpectralDecomposition, psi) -> MpembaRotation:
 def overlap_scan(dec: SpectralDecomposition, psi, s_grid) -> list[tuple[float, float]]:
     """Slow-mode overlap of the rotated state at each angle of ``s_grid``.
 
-    The scan evaluates the overlap through the actual rotated state; it
-    equals ``alpha_1 cos^2(s) + alpha_n sin^2(s)`` pointwise, with the
-    endpoints reproducing the two selected eigenvalues.
+    The scan evaluates ``Tr(l2 U(s) rho1 U(s)^dagger)`` through the actual
+    rotated state, for every angle at once on the stack of rotations that
+    ``build_rotation`` returns; it equals ``alpha_1 cos^2(s) + alpha_n sin^2(s)``
+    pointwise, with the endpoints reproducing the two selected eigenvalues.
     """
     psi = _check_state(psi)
     ell2 = hermitize_slow_mode(dec)
@@ -260,9 +267,6 @@ def overlap_scan(dec: SpectralDecomposition, psi, s_grid) -> list[tuple[float, f
     u1 = build_u1(psi, levels.phis[:, order])
     rho0 = np.outer(psi, psi.conj())
     rho1 = u1 @ rho0 @ u1.conj().T
-    out = []
-    for s in np.asarray(s_grid, dtype=float):
-        u2 = build_rotation(levels, float(s))
-        val = _overlap(ell2, u2, rho1)
-        out.append((float(s), float(val.real)))
-    return out
+    angles = np.asarray(s_grid, dtype=float)
+    values = _overlap(ell2, build_rotation(levels, angles), rho1).real
+    return [(float(s), float(v)) for s, v in zip(angles, values)]

@@ -3,7 +3,10 @@
 ``bench/workloads.py`` records its spans by rebinding module-held functions
 (``TRACED``) and the LAPACK calls that ``qmpemba.spectral`` reaches through
 its ``sla`` name (``KERNELS``).  A rename in the package would otherwise only
-show when the benchmark itself runs.
+show when the benchmark itself runs.  A name that still exists but is no
+longer called would make its span read 0 without any error, so the spans
+that time the per-state work are also checked to be reached, by counting
+the calls that one library call makes through the rebound names.
 """
 
 from __future__ import annotations
@@ -11,9 +14,13 @@ from __future__ import annotations
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qmpemba import spectral
+import qmpemba
+from qmpemba import dynamics, spectral
+
+from conftest import DICKE_REF
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -41,3 +48,49 @@ def test_traced_names_exist(workloads):
 def test_kernel_names_exist(workloads):
     missing = [attr for _, attr in workloads.KERNELS if not hasattr(spectral.sla, attr)]
     assert not missing
+
+
+def _count_calls(workloads, monkeypatch, span):
+    """Wrap every name the benchmark rebinds for ``span``; the list grows by one per call."""
+    calls = []
+    for name, attr, holders in workloads.TRACED:
+        if name != span:
+            continue
+        for holder in holders:
+            module = workloads._holder(holder)
+            real = getattr(module, attr)
+
+            def counted(*args, _real=real, **kwargs):
+                calls.append(1)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def dicke4():
+    model = qmpemba.dicke_model(DICKE_REF, 4)
+    return model, qmpemba.decompose(qmpemba.build_liouvillian(model))
+
+
+@pytest.mark.parametrize("exact_throughout", [False, True])
+def test_trajectory_reaches_its_spans(workloads, monkeypatch, dicke4, exact_throughout):
+    model, dec = dicke4
+    if exact_throughout:  # the routes never agree: exact action over the whole grid
+        monkeypatch.setattr(dynamics, "AGREEMENT_TOL", -1.0)
+    mode_sum = _count_calls(workloads, monkeypatch, "dynamics.mode_sum")
+    distance = _count_calls(workloads, monkeypatch, "dynamics.hs_distance")
+    psi = qmpemba.random_pure_state(4, 1)
+    grid = qmpemba.TimeGrid.linear(0.0, 4.0 * dec.tau, 101)
+    traj = qmpemba.robust_trajectory(model, dec, np.outer(psi, psi.conj()), grid)
+    assert traj.source == ("hybrid" if exact_throughout else "spectral")
+    assert len(mode_sum) == 1
+    assert len(distance) == 1
+
+
+def test_overlap_scan_reaches_slow_mode_spectrum(workloads, monkeypatch, dicke4):
+    _, dec = dicke4
+    spectra = _count_calls(workloads, monkeypatch, "mpemba.slow_mode_spectrum")
+    qmpemba.overlap_scan(dec, qmpemba.random_pure_state(4, 1), np.linspace(0.0, 1.0, 5))
+    assert len(spectra) == 1

@@ -211,6 +211,16 @@ EXIT_CODE_ROWS = [
                  id="3-numerical-reproduce"),
     pytest.param(["evolve", "--n", "4"], "env", "t_max = 0.001\nt_spacing = logarithmic\n",
                  False, 4, "", id="4-config-bad-grid"),
+    pytest.param(["evolve", "--n", "3"], "env", "t_max = nan\n", False, 4, None,
+                 id="4-config-nan-t-max"),
+    pytest.param(["spectrum", "--n", "3", "--tol-imag", "nan"], "flag", None, False, 4, None,
+                 id="4-config-nan-tol-imag"),
+    pytest.param(["spectrum", "--n", "3", "--tol-gap", "inf"], "flag", None, False, 4, None,
+                 id="4-config-inf-tol-gap"),
+    pytest.param(["overlap-scan", "--n", "3", "--seed", "-1"], "flag", None, False, 4, None,
+                 id="4-config-negative-seed-scan"),
+    pytest.param(["evolve", "--n", "3", "--seed", "-1"], "env", None, False, 4, None,
+                 id="4-config-negative-seed-evolve"),
     pytest.param(["spectrum", "--n", "4"], "file", None, False, 4, None, id="4-config-out-is-file"),
     pytest.param(["reproduce", "fig2", "--n", "4"], "file", None, False, 4, None,
                  id="4-config-out-is-file-reproduce"),

@@ -62,6 +62,15 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(points=np.array([-1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        with pytest.raises(ValueError):
+            TimeGrid(points=np.array([0.0, bad]))
+        with pytest.raises(ValueError):
+            TimeGrid(points=np.array([0.0, 1.0, bad]))
+        with pytest.raises(ValueError):
+            TimeGrid.linear(0.0, bad, 5)
+
 
 class TestEvolveSpectral:
     def test_initial_state_recovered(self, dicke6):
@@ -389,6 +398,43 @@ class TestActiveModeSum:
         reference = reference + coeff[0] * dec.stationary_state
         reference = (reference + reference.conj().transpose(0, 2, 1)) / 2
         # sum_k |c_k| max|r_k| e^{Re lam_k t}: the rounding bound of the full sum
+        bound = np.abs(terms) @ np.abs(right).max(axis=1)
+        states = evolve_spectral_grid(dec, rho0, grid)
+        err = np.max(np.abs(states - reference), axis=(1, 2))
+        assert np.all(err <= 8 * (np.finfo(float).eps / 2) * bound)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        n_jumps=st.integers(1, 3),
+        planted=st.booleans(),
+        chunks_per_tau=st.integers(2, 5),
+        offset=st.sampled_from([0.0, 0.1, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_on_grids_of_several_chunks_per_tau(
+        self, d, n_jumps, planted, chunks_per_tau, offset, seed
+    ):
+        # the first chunk starts within one decay time of the fastest mode, and
+        # every chunk is a fraction of tau, so the prefix counted at each chunk
+        # start changes from chunk to chunk
+        rng = np.random.default_rng(seed)
+        model = random_lindblad_model(d, n_jumps, rng, planted)
+        try:
+            dec = decompose(build_liouvillian(model))
+        except AssumptionViolation as exc:
+            dec = exc.decomposition
+        assume(dec is not None)  # no unique stationary state
+        right = dec.right_modes.transpose(0, 2, 1).reshape(d * d, -1)  # rows vec(r_k)
+        rho0 = random_density(d, rng)
+        t_start = offset / float(np.max(np.abs(dec.eigenvalues.real)))
+        per_tau = chunks_per_tau * dynamics._MODE_SUM_CHUNK
+        grid = TimeGrid.linear(t_start, t_start + 3.0 * dec.tau, 3 * per_tau + 1)
+        coeff = dec.left_pairing_rows() @ vec(rho0)
+        terms = np.exp(np.outer(grid.points, dec.eigenvalues)) * coeff
+        reference = (terms[:, 1:] @ right[1:]).reshape(-1, d, d).transpose(0, 2, 1)
+        reference = reference + coeff[0] * dec.stationary_state
+        reference = (reference + reference.conj().transpose(0, 2, 1)) / 2
         bound = np.abs(terms) @ np.abs(right).max(axis=1)
         states = evolve_spectral_grid(dec, rho0, grid)
         err = np.max(np.abs(states - reference), axis=(1, 2))

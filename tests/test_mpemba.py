@@ -15,6 +15,7 @@ from qmpemba import (
     build_rotation,
     build_u1,
     decompose,
+    hermitize_slow_mode,
     optimal_unitary,
     overlap_scan,
     random_pure_state,
@@ -295,3 +296,74 @@ class TestOverlapScan:
         sol, *_ = np.linalg.lstsq(design, scan[:, 1], rcond=None)
         assert sol[0] == pytest.approx(rot.slow_spectrum.alpha_1, abs=1e-8)
         assert sol[1] == pytest.approx(rot.slow_spectrum.alpha_n, abs=1e-8)
+
+
+class TestBatchedScan:
+    """The angle-stack rotation and the batched scan against per-angle references."""
+
+    @staticmethod
+    def _random_case(d, n_jumps, planted, seed):
+        rng = np.random.default_rng(seed)
+        try:
+            dec = decompose(build_liouvillian(random_lindblad_model(d, n_jumps, rng, planted)))
+        except AssumptionViolation:
+            assume(False)  # no unique real slow mode
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        psi /= np.linalg.norm(psi)
+        return dec, psi, rng
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        n_jumps=st.integers(1, 3),
+        planted=st.booleans(),
+        n_angles=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_per_angle_reference(self, d, n_jumps, planted, n_angles, seed):
+        dec, psi, rng = self._random_case(d, n_jumps, planted, seed)
+        rot = optimal_unitary(dec, psi)
+        assume(rot.branch == "rotation")
+        levels = rot.slow_spectrum
+        angles = rng.uniform(-np.pi, np.pi, size=n_angles)
+        stack = build_rotation(levels, angles)
+        assert stack.shape == (n_angles, d, d)
+        for s, u in zip(angles, stack):
+            assert np.max(np.abs(u - build_rotation(levels, s))) <= 1e-15
+            assert _unitarity_defect(u) <= 1e-13
+
+        ell2 = hermitize_slow_mode(dec)
+        rho1 = rot.u1 @ np.outer(psi, psi.conj()) @ rot.u1.conj().T
+        scan = overlap_scan(dec, psi, angles)
+        tol = 1e-14 * np.max(np.abs(ell2))
+        reference = []
+        for s in angles:
+            u = build_rotation(levels, s)
+            reference.append(np.trace(ell2 @ u @ rho1 @ u.conj().T).real)
+        assert [s for s, _ in scan] == list(angles)
+        assert np.max(np.abs(np.array([v for _, v in scan]) - reference)) <= tol
+        (s_one, val_one), = overlap_scan(dec, psi, angles[:1])
+        assert s_one == angles[0]
+        assert abs(val_one - reference[0]) <= tol
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        n_jumps=st.integers(1, 3),
+        planted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_zero_branch_raises(self, d, n_jumps, planted, seed):
+        # plant a slow mode with a zero level and no opposite sign
+        dec, psi, rng = self._random_case(d, n_jumps, planted, seed)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        alphas = np.concatenate([[0.0], rng.uniform(0.5, 2.0, size=d - 1)])
+        left = dec.left_modes.copy()
+        left[1] = q @ np.diag(alphas) @ q.conj().T
+        planted_dec = dataclasses.replace(dec, left_modes=left)
+        levels = slow_mode_spectrum(hermitize_slow_mode(planted_dec))
+        assert levels.zero_branch
+        with pytest.raises(ZeroBranch):
+            build_rotation(levels, np.linspace(0.0, 1.0, 3))
+        with pytest.raises(ZeroBranch):
+            overlap_scan(planted_dec, psi, np.linspace(0.0, 1.0, 3))
