@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config, read_config
 from .dynamics import (
     FIT_WINDOW_ROTATED,
     FIT_WINDOW_UNROTATED,
@@ -96,9 +96,13 @@ def _write_json(path: Path, payload):
     _atomic_write(path, text + "\n")
 
 
-def _out_dir(cfg: ExperimentConfig, args) -> Path:
-    """The command's own output directory, created; ``<out>/<figure>`` for reproduce."""
-    path = Path(args.out or cfg.out or os.environ.get(ENV_OUT_DIR) or DEFAULT_OUT_DIR)
+def _out_dir(args, out) -> Path:
+    """The command's own output directory, created; ``<out>/<figure>`` for reproduce.
+
+    ``out`` is the config file's ``out`` value, if any; ``--out`` comes before
+    it and ``$QMPEMBA_OUT`` after it.
+    """
+    path = Path(args.out or out or os.environ.get(ENV_OUT_DIR) or DEFAULT_OUT_DIR)
     if args.command == "reproduce":
         path = path / args.figure
     try:
@@ -420,7 +424,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args) -> ExperimentConfig:
+def _config_values(args) -> dict:
+    """The config file's values with the flags and the figure preset on top, unvalidated."""
     overrides = {
         "model": getattr(args, "model", None),
         "seed": args.seed,
@@ -440,21 +445,25 @@ def _config_from_args(args) -> ExperimentConfig:
             overrides.setdefault(key, None)
             if overrides[key] is None:
                 overrides[key] = val
-    return load_config(args.config, overrides)
+    return read_config(args.config, overrides)
 
 
 def main(argv=None) -> int:
     """Run one command; every package error becomes its exit code and an ``error.json``.
 
-    The ``error.json`` goes to the command's output directory once that is
-    known; errors in the flags, the configuration file or the creation of
-    that directory come before it and go to stderr only.
+    The output directory is resolved from ``--out``, the config file's
+    ``out``, ``$QMPEMBA_OUT`` or the default before the configuration is
+    validated, so a rejected value (a negative seed, a non-finite float)
+    writes its ``error.json`` there like every later failure.  A bad flag,
+    an unreadable or malformed config file and a failure to create the
+    directory come before it and go to stderr only.
     """
     out_dir = None
     try:
         args = _build_parser().parse_args(argv)
-        cfg = _config_from_args(args)
-        out_dir = _out_dir(cfg, args)
+        values = _config_values(args)
+        out_dir = _out_dir(args, values.get("out"))
+        cfg = load_config(None, values)
         if args.command == "spectrum":
             return cmd_spectrum(cfg, out_dir)
         if args.command == "overlap-scan":

@@ -125,8 +125,13 @@ def _convert(key: str, value: str):
     raise ConfigError(f"unknown configuration key {key!r}")
 
 
-def load_config(path=None, overrides: Optional[dict] = None) -> ExperimentConfig:
-    """Build a configuration from defaults, an optional file, and overrides."""
+def read_config(path=None, overrides: Optional[dict] = None) -> dict:
+    """The values of an optional config file with the non-None overrides on top.
+
+    Each value is converted to its key's type but not yet validated, so a
+    caller can read the output directory (``out``) from them before a value
+    that ``ExperimentConfig`` rejects stops the run.
+    """
     values: dict = {}
     if path is not None:
         try:
@@ -140,6 +145,12 @@ def load_config(path=None, overrides: Optional[dict] = None) -> ExperimentConfig
         for key, val in overrides.items():
             if val is not None:
                 values[key] = val
+    return values
+
+
+def load_config(path=None, overrides: Optional[dict] = None) -> ExperimentConfig:
+    """Build a configuration from defaults, an optional file, and overrides."""
+    values = read_config(path, overrides)
     fit = None
     if "fit_hi" in values or "fit_lo" in values:
         if not ("fit_hi" in values and "fit_lo" in values):

@@ -32,6 +32,7 @@ FIT_WINDOW_ROTATED = (1e-2, 1e-6)
 FIT_R2_FLOOR = 0.99
 
 _MODE_SUM_CHUNK = 32  # grid times per mode-sum product
+_DISTANCE_CHUNK = 32  # stack entries per scratch buffer of hs_distance
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
@@ -231,9 +232,9 @@ def hs_distance(rho, sigma):
     ``rho`` and ``sigma`` are square matrices or stacks ``(..., d, d)`` of
     them that broadcast against each other; two matrices give a float, stacks
     an array of distances.  Both must be finite and Hermitian within 1e-8.
-    One scratch buffer of the broadcast shape holds first each operand's
-    anti-Hermitian part, whose largest modulus is also the finiteness test,
-    and then the difference, whose norm is one reduction over its real view.
+    A stack is taken ``_DISTANCE_CHUNK`` entries of its first axis at a time,
+    so the scratch buffer stays chunk-sized whatever the stack's length: a
+    trajectory's distances allocate no second buffer the size of its states.
     """
     rho, sigma = np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
     for m in (rho, sigma):
@@ -243,6 +244,25 @@ def hs_distance(rho, sigma):
         raise ShapeMismatch(
             f"shapes {rho.shape} and {sigma.shape} are not matching square matrices"
         )
+    shape = np.broadcast_shapes(rho.shape, sigma.shape)
+    if len(shape) == 2:
+        return float(_chunk_distances(rho, sigma))
+    dist = np.empty(shape[:-2])
+    for start in range(0, shape[0], _DISTANCE_CHUNK):
+        rows = slice(start, start + _DISTANCE_CHUNK)
+        dist[rows] = _chunk_distances(
+            *(m[rows] if m.ndim == len(shape) and m.shape[0] > 1 else m for m in (rho, sigma))
+        )
+    return dist
+
+
+def _chunk_distances(rho, sigma) -> np.ndarray:
+    """Distances of validated operands, in one scratch buffer of their broadcast shape.
+
+    The buffer holds first each operand's anti-Hermitian part, whose largest
+    modulus is also the finiteness test, and then the difference, whose norm
+    is one reduction over its real view.
+    """
     buf = np.empty(np.broadcast_shapes(rho.shape, sigma.shape), dtype=complex)
     for name, m in (("rho", rho), ("sigma", sigma)):
         part = buf[(0,) * (buf.ndim - m.ndim)]  # leading broadcast axes dropped
@@ -255,8 +275,7 @@ def hs_distance(rho, sigma):
             raise NotHermitian(f"{name} is not Hermitian within 1e-8")
     np.subtract(rho, sigma, out=buf)
     flat = buf.view(float).reshape(*buf.shape[:-2], -1)
-    dist = np.sqrt(np.einsum("...i,...i->...", flat, flat))
-    return float(dist) if dist.ndim == 0 else dist
+    return np.sqrt(np.einsum("...i,...i->...", flat, flat))
 
 
 def fit_decay_rate(
@@ -326,23 +345,21 @@ def robust_trajectory(
     but near t=0 its reconstruction defect can be large when the eigenvector
     basis is close to defective.  One loop walks the grid from its first
     point, carrying the exact state: rho0 itself at t=0, and after that the
-    exact exponential action of the sparse generator
-    (``scipy.sparse.linalg.expm_multiply``, Al-Mohy & Higham 2011), which is
-    built only once an interval must be propagated.  At the first grid time
-    where the exact state and the mode sum agree to ``AGREEMENT_TOL``, the
-    mode sum takes over; the agreement check makes the handoff
-    self-validating.  A handoff at t=0 gives ``source`` "spectral" and
-    ``handoff_time`` 0.0; a later one gives "hybrid".  A grid that ends
-    before the two routes agree keeps the exact states throughout and has
-    ``handoff_time`` None.
+    exact exponential action (``scipy.sparse.linalg.expm_multiply``, Al-Mohy
+    & Higham 2011) of ``dec.generator``, the very CSR matrix that was
+    decomposed, so no generator is built here; ``model`` is the model that
+    ``dec`` was decomposed from.  At the first grid time where the exact
+    state and the mode sum agree to ``AGREEMENT_TOL``, the mode sum takes
+    over; the agreement check makes the handoff self-validating.  A handoff
+    at t=0 gives ``source`` "spectral" and ``handoff_time`` 0.0; a later one
+    gives "hybrid".  A grid that ends before the two routes agree keeps the
+    exact states throughout and has ``handoff_time`` None.
     """
     states = evolve_spectral_grid(dec, rho0, grid)  # validates rho0
-    gen, v, t_prev, handoff = None, vec(rho0), 0.0, None
+    v, t_prev, handoff = vec(rho0), 0.0, None
     for i, t in enumerate(grid.points):
         if t > t_prev:
-            if gen is None:
-                gen = build_liouvillian(model).matrix
-            v = expm_multiply((t - t_prev) * gen, v)
+            v = expm_multiply((t - t_prev) * dec.generator, v)
             t_prev = t
         rho = unvec(v)
         agreed = float(np.max(np.abs(states[i] - rho))) <= AGREEMENT_TOL

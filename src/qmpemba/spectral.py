@@ -98,6 +98,10 @@ class SpectralDecomposition:
     column-stacking positions ``i + j d`` of its support.  The supports are
     disjoint and every right and left mode of a block is exactly zero outside
     its support, so a mode sum can run block by block over the support alone.
+
+    ``generator`` is the CSR generator matrix that was decomposed, the same
+    object as the input's ``matrix`` (a reference, not a copy), so that a
+    trajectory can propagate with exactly the decomposed generator.
     """
 
     eigenvalues: np.ndarray
@@ -108,6 +112,7 @@ class SpectralDecomposition:
     tau: float
     gap3: float
     diagnostics: Diagnostics
+    generator: sp.csr_matrix
 
     @property
     def dim(self) -> int:
@@ -146,22 +151,21 @@ def _sort_order(lam: np.ndarray) -> np.ndarray:
     )
 
 
-def _conjugate_partners(lam: np.ndarray, tol: float) -> np.ndarray:
-    """partners[k] = index of the conjugate mode (k itself for real modes)."""
-    m = lam.size
-    partners = np.arange(m)
-    used = np.zeros(m, dtype=bool)
-    for k in range(m):
-        if used[k] or lam[k].imag <= tol:
-            continue
-        dist = np.abs(lam - np.conj(lam[k]))
-        dist[used] = np.inf
-        dist[lam.imag > -tol] = np.inf
-        j = int(np.argmin(dist))
-        if np.isfinite(dist[j]):
-            partners[k] = j
-            partners[j] = k
-            used[k] = used[j] = True
+def _conjugate_partners(lam: np.ndarray) -> np.ndarray:
+    """partners[k] = index of the exactly conjugate mode (k itself for real modes).
+
+    The real eigensolver returns every complex pair as exact conjugates.  The
+    i-th mode of a value z with Im z > 0, in the given order, is paired with
+    the i-th mode of value conj(z).  If the two half planes do not match value
+    for value, no complex mode is paired.
+    """
+    partners = np.arange(lam.size)
+    up = np.flatnonzero(lam.imag > 0)
+    down = np.flatnonzero(lam.imag < 0)
+    up = up[np.lexsort((lam.imag[up], lam.real[up]))]  # stable: equal values keep their order
+    down = down[np.lexsort((-lam.imag[down], lam.real[down]))]
+    if up.size == down.size and np.array_equal(lam[up], lam[down].conj()):
+        partners[up], partners[down] = down, up
     return partners
 
 
@@ -183,26 +187,30 @@ def _blocks(lr: sp.csr_matrix, basis: sp.csr_matrix) -> list[np.ndarray]:
 
 
 def _refine_pair(lr, lam_k, v, w, scale):
-    """One-shift inverse iteration for the right and left vectors of lam_k."""
-    n = lr.shape[0]
+    """One-shift inverse iteration for the right and left vectors of lam_k.
+
+    ``lr - shift`` is factored once.  The right vector takes two solves with
+    the LU factors, the left vector two solves with their conjugate transpose
+    (``lu_solve(..., trans=2)``), since ``w (lr - shift) = 0`` is
+    ``(lr - shift)^H w^H = 0``; the eigenvalue is the two-sided Rayleigh
+    quotient.  A real lam_k keeps a real shift and real vectors.  Returns
+    None when a solve fails or the two vectors do not pair.
+    """
     shift = lam_k + _REFINE_SHIFT_JITTER * scale
     is_real = lam_k.imag == 0.0
     if is_real:
-        shifted = lr - shift.real * np.eye(n)
-        v = v.real.copy() if np.iscomplexobj(v) else v.copy()
-        w = w.real.copy() if np.iscomplexobj(w) else w.copy()
+        shifted = lr.copy()
+        shift, v, w = shift.real, v.real, w.real
     else:
-        shifted = lr - shift * np.eye(n)
-        v, w = v.copy(), w.copy()
+        shifted = lr.astype(complex)
+    shifted.flat[:: lr.shape[0] + 1] -= shift
     try:
         lu = sla.lu_factor(shifted)
+        wc = w.conj()
         for _ in range(2):
             v = sla.lu_solve(lu, v)
             v /= np.linalg.norm(v)
-        lu_t = sla.lu_factor(shifted.conj().T)
-        wc = w.conj()
-        for _ in range(2):
-            wc = sla.lu_solve(lu_t, wc)
+            wc = sla.lu_solve(lu, wc, trans=2)
             wc /= np.linalg.norm(wc)
         w = wc.conj()
     except (sla.LinAlgError, ValueError):
@@ -236,11 +244,16 @@ def decompose(
     map of :func:`hermitian_operator_basis_rows`, where it is real and stays
     sparse; a generator that does not preserve Hermiticity raises
     ``NotHermitian``.  Each connected block of the real matrix (its nonzero
-    pattern as a graph) is densified on its own and gets its own eigensolve,
-    packed inverse and slow-mode polish, and the modes of all blocks are
-    merged into one sorted spectrum.  At N=40 the dicke
+    pattern as a graph) is densified on its own, and every step after its
+    eigensolve runs on the block's own n_b x n_b arrays: packing and packed
+    inverse, conjugate recombination, slow-mode polish, pairing normalization
+    and balancing, the map back through the block's slice of the basis, the
+    phase convention and the biorthonormality product.  Only the final mode
+    arrays are full size; they are filled block by block, and the modes of
+    all blocks are merged into one sorted spectrum.  At N=40 the dicke
     generator splits into blocks of 841 and 840; the all-to-all generator is
-    one block of 1681.
+    one block of 1681.  The result keeps a reference to ``sup.matrix`` as
+    ``generator``.
 
     Violated assumptions raise ``ComplexSlowMode`` or ``DegenerateSlowMode``
     with the finished decomposition attached.  A degenerate zero eigenvalue
@@ -305,30 +318,29 @@ def decompose(
     # real modes exactly real and paired rows exactly conjugate, with no
     # structure enforcement that could break the pairing cancellations.
     # Partners are found within a block, so that an exact degeneracy across
-    # blocks cannot pair vectors with different supports.
-    partners = np.arange(m)
-    v_packed = np.zeros((m, m), dtype=float)
-    w_packed = np.zeros((m, m), dtype=float)
+    # blocks cannot pair vectors with different supports.  From here on each
+    # block holds (rows, dense block, partners, right columns, left rows) in
+    # its own mode order.
     norm_v = norm_w = 0.0
-    for (rows, _, lam_b, v_b), pos in zip(blocks, modes):
-        n_b = lam_b.size
-        partners_b = _conjugate_partners(lam_b, tol=0.0)
-        if np.any((lam_b.imag != 0) & (partners_b == np.arange(n_b))):
+    for i, ((rows, sub, lam_b, v_b), pos) in enumerate(zip(blocks, modes)):
+        partners_b = _conjugate_partners(lam_b)
+        if np.any((lam_b.imag != 0) & (partners_b == np.arange(lam_b.size))):
             raise NoConvergence("unpaired complex eigenvalue from the real eigensolver")
-        packed_b = np.empty((n_b, n_b), dtype=float)
-        for k in range(n_b):
-            if lam_b[k].imag == 0.0:
-                packed_b[:, k] = v_b[:, k].real
-            elif lam_b[k].imag > 0:
-                packed_b[:, k] = v_b[:, k].real
-                packed_b[:, partners_b[k]] = v_b[:, k].imag
-        inverse_b, _ = refined_inverse(packed_b)
+        up = np.flatnonzero(lam_b.imag > 0)
+        down = partners_b[up]
+        packed = v_b.real.copy()
+        packed[:, down] = v_b.imag[:, up]
+        inverse, _ = refined_inverse(packed)
         # the 1-norm of a block-diagonal matrix is the largest of its blocks'
-        norm_v = max(norm_v, float(np.linalg.norm(packed_b, 1)))
-        norm_w = max(norm_w, float(np.linalg.norm(inverse_b, 1)))
-        v_packed[np.ix_(rows, pos)] = packed_b
-        w_packed[np.ix_(pos, rows)] = inverse_b
-        partners[pos] = pos[partners_b]
+        norm_v = max(norm_v, float(np.linalg.norm(packed, 1)))
+        norm_w = max(norm_w, float(np.linalg.norm(inverse, 1)))
+        vr, wr = packed.astype(complex), inverse.astype(complex)
+        a, b = packed[:, up], packed[:, down]
+        vr[:, up], vr[:, down] = a + 1j * b, a - 1j * b
+        wa, wb = inverse[up], inverse[down]
+        wr[up], wr[down] = (wa - 1j * wb) / 2, (wa + 1j * wb) / 2
+        lam[pos[down]] = np.conj(lam[pos[up]])
+        blocks[i] = (rows, sub, partners_b, vr, wr)
     cond = norm_v * norm_w
     if cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(
@@ -337,91 +349,96 @@ def decompose(
             IllConditionedBasis,
             stacklevel=2,
         )
-    vr = v_packed.astype(complex)
-    wr = w_packed.astype(complex)
-    for k in range(m):
-        if lam[k].imag > 0:
-            j = partners[k]
-            lam[j] = np.conj(lam[k])
-            a, b = v_packed[:, k], v_packed[:, j]
-            vr[:, k] = a + 1j * b
-            vr[:, j] = a - 1j * b
-            wa, wb = w_packed[k, :], w_packed[j, :]
-            wr[k, :] = (wa - 1j * wb) / 2
-            wr[j, :] = (wa + 1j * wb) / 2
 
     # polish the slow modes: they carry all downstream physics
     sep_min = _REFINE_SEPARATION_FACTOR * scale
     for k in range(min(REFINE_MODES, m)):
+        pos = modes[block_of[k]]
+        _, sub, partners_b, vr, wr = blocks[block_of[k]]
+        kb = int(np.searchsorted(pos, k))
+        jb = partners_b[kb]
         others = np.abs(lam - lam[k])
-        others[k] = np.inf
-        if partners[k] != k:
-            others[partners[k]] = np.inf
+        others[[k, pos[jb]]] = np.inf
         if k > 0 and np.min(others) <= sep_min:
             continue
-        rows, sub = blocks[block_of[k]][:2]
-        out = _refine_pair(sub, complex(lam[k]), vr[rows, k], wr[k, rows], scale)
+        out = _refine_pair(sub, complex(lam[k]), vr[:, kb], wr[kb], scale)
         if out is None:
             continue
         lam_new, v_new, w_new = out
         lam[k] = lam_new
-        vr[rows, k] = v_new
-        wr[k, rows] = w_new
-        if partners[k] != k:
-            j = partners[k]
-            lam[j] = np.conj(lam_new)
-            vr[rows, j] = v_new.conj()
-            wr[j, rows] = w_new.conj()
+        vr[:, kb], wr[kb] = v_new, w_new
+        if jb != kb:
+            lam[pos[jb]] = np.conj(lam_new)
+            vr[:, jb], wr[jb] = v_new.conj(), w_new.conj()
 
-    # left mode of the zero eigenvalue is the identity, exactly
-    wr[0, :] = basis.conj() @ vec(np.eye(d, dtype=complex))
-    tr_r1 = wr[0, :] @ vr[:, 0]
+    # left mode of the zero eigenvalue is the identity, exactly.  Mode 0 is the
+    # first of its block, and the identity lies in that block: each block's
+    # share of it is a left null vector, and the zero eigenvalue is simple.
+    rows, _, _, vr, wr = blocks[block_of[0]]
+    wr[0] = (basis.conj() @ vec(np.eye(d, dtype=complex)))[rows]
+    tr_r1 = wr[0] @ vr[:, 0]
     if abs(tr_r1) < 1e-14:
         raise NoConvergence("stationary candidate has numerically zero trace")
-    vr[:, 0] = vr[:, 0] / tr_r1
+    vr[:, 0] /= tr_r1
 
-    # pairing normalization Tr(l_k r_k) = 1, then balance the mode norms
-    diag = np.einsum("ij,ji->i", wr[1:, :], vr[:, 1:])
-    if np.any(diag == 0):
-        raise NoConvergence("vanishing left/right pairing; basis unusable")
-    wr[1:, :] = wr[1:, :] / diag[:, None]
-    wnorm = np.linalg.norm(wr[1:, :], axis=1)
-    vnorm = np.linalg.norm(vr[:, 1:], axis=0)
-    bal = np.sqrt(vnorm / wnorm)
-    wr[1:, :] = wr[1:, :] * bal[:, None]
-    vr[:, 1:] = vr[:, 1:] / bal[None, :]
+    left_modes = np.zeros((m, d, d), dtype=complex)
+    right_modes = np.zeros((m, d, d), dtype=complex)
+    biorth = 0.0
+    mode_blocks = []
+    for (rows, _, partners_b, vr, wr), pos in zip(blocks, modes):
+        local = np.arange(pos.size)
+        first = int(pos[0] == 0)  # the stationary mode keeps its normalization
 
-    # back to the column-stacking frame; l_k = unvec(w_k).T is the C-order
-    # reshape of the pairing row, r_k the transposed C-order reshape of vec(r_k)
-    v_cols = basis.T @ vr
-    w_rows = np.ascontiguousarray(wr @ basis.conj())
-    left_modes = w_rows.reshape(m, d, d)
+        # pairing normalization Tr(l_k r_k) = 1, then balance the mode norms
+        w, v = wr[first:], vr[:, first:]
+        diag = np.einsum("ij,ji->i", w, v)
+        if np.any(diag == 0):
+            raise NoConvergence("vanishing left/right pairing; basis unusable")
+        w /= diag[:, None]
+        bal = np.sqrt(np.linalg.norm(v, axis=0) / np.linalg.norm(w, axis=1))
+        w *= bal[:, None]
+        v /= bal[None, :]
 
-    # deterministic per-mode phase: leading entry of l_k real positive
-    # (sign-only for real modes, preserving exact Hermiticity)
-    for k in range(1, m):
-        if lam[k].imag < 0 and partners[k] != k:
-            continue  # fixed through the conjugate partner
-        ell = left_modes[k]
-        idx = int(np.argmax(np.abs(ell)))
-        val = ell.flat[idx]
-        if val == 0:
-            continue
-        if lam[k].imag == 0.0:
-            flip = val.real < 0 or (val.real == 0 and val.imag < 0)
-            factor = -1.0 if flip else 1.0
-        else:
-            factor = np.conj(val) / abs(val)
-        w_rows[k, :] *= factor
-        v_cols[:, k] /= factor
-        if partners[k] != k:
-            j = partners[k]
-            w_rows[j, :] *= np.conj(factor)
-            v_cols[:, j] /= np.conj(factor)
+        # back to the column-stacking frame through the block's own slice of
+        # the basis, a square map onto the block's support
+        block_basis = basis[rows]
+        support = np.unique(block_basis.indices)
+        block_basis = block_basis[:, support]
+        v_cols = block_basis.T @ vr
+        w_rows = wr @ block_basis.conj()
 
-    right_modes = np.ascontiguousarray(
-        v_cols.T.reshape(m, d, d).transpose(0, 2, 1)
-    )
+        # deterministic per-mode phase: the first largest-modulus entry of l_k
+        # real positive (sign-only for real modes, preserving exact
+        # Hermiticity); an Im < 0 mode takes its partner's conjugate factor
+        own = local[(partners_b >= local) & (local >= first)]
+        val = w_rows[own, np.argmax(np.abs(w_rows[own]), axis=1)]
+        real = partners_b[own] == own
+        mag = np.abs(val)
+        flip = (val.real < 0) | ((val.real == 0) & (val.imag < 0))
+        factor = np.where(real, np.where(flip, -1.0, 1.0),
+                          np.conj(val) / np.where(mag > 0, mag, 1.0))
+        factor[mag == 0] = 1.0
+        w_rows[own] *= factor[:, None]
+        v_cols[:, own] /= factor
+        pair = partners_b[own[~real]]
+        w_rows[pair] *= np.conj(factor[~real])[:, None]
+        v_cols[:, pair] /= np.conj(factor[~real])
+
+        # max|Tr(l_k r_h) - delta_kh|: the blocks have disjoint supports, so
+        # the pairing outside the blocks is exactly 0.  The row of an Im < 0
+        # mode j with partner k is skipped: Tr(l_j r_h) = conj(Tr(l_k r_h'))
+        # with h' the partner of h, so it holds the same moduli as row k
+        keep = local[partners_b >= local]
+        pairing = w_rows[keep] @ v_cols
+        pairing[np.arange(keep.size), keep] -= 1.0
+        biorth = max(biorth, float(np.max(np.abs(pairing))))
+
+        # l_k = unvec(w_k).T is the C-order reshape of the pairing row, so
+        # its flat index is the support position i + j d; r_k is transposed
+        left_modes.reshape(m, m)[np.ix_(pos, support)] = w_rows
+        right_modes.reshape(m, m)[np.ix_(pos, (support % d) * d + support // d)] = v_cols.T
+        mode_blocks.append((pos, support))
+    del blocks
 
     stationary = right_modes[0]
     stationary = (stationary + stationary.conj().T) / 2
@@ -437,15 +454,6 @@ def decompose(
         slow_mode_unique=bool(gap3 >= tol_gap),
     )
 
-    # max|Tr(l_k r_h) - delta_kh|: the blocks have disjoint column-stacking
-    # supports, so every entry of the pairing outside the blocks is exactly 0
-    biorth = 0.0
-    mode_blocks = []
-    for (rows, *_), pos in zip(blocks, modes):
-        support = np.unique(basis[rows].indices)
-        pairing = w_rows[np.ix_(pos, support)] @ v_cols[np.ix_(support, pos)]
-        biorth = max(biorth, float(np.max(np.abs(pairing - np.eye(pos.size)))))
-        mode_blocks.append((pos, support))
     fixed_point = float(np.max(np.abs(mat @ vec(stationary)))) / scale
     diagnostics = Diagnostics(
         condition_estimate=cond,
@@ -467,6 +475,7 @@ def decompose(
         tau=tau,
         gap3=gap3,
         diagnostics=diagnostics,
+        generator=mat,
     )
     if not flags.slow_mode_real:
         raise ComplexSlowMode(

@@ -107,6 +107,13 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 4
         assert read_json(out / "error.json")["error"] == "ConfigError"
 
+    def test_rejected_value_writes_to_the_config_out(self, tmp_path):
+        out = tmp_path / "from-config"
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"out = {out}\nseed = -1\n")
+        assert main(["spectrum", "--config", str(path)]) == 4
+        assert read_json(out / "error.json")["error"] == "ConfigError"
+
 
 class TestOverlapScanCommand:
     def test_columns_and_endpoints(self, tmp_path):
@@ -211,16 +218,18 @@ EXIT_CODE_ROWS = [
                  id="3-numerical-reproduce"),
     pytest.param(["evolve", "--n", "4"], "env", "t_max = 0.001\nt_spacing = logarithmic\n",
                  False, 4, "", id="4-config-bad-grid"),
-    pytest.param(["evolve", "--n", "3"], "env", "t_max = nan\n", False, 4, None,
+    pytest.param(["evolve", "--n", "3"], "env", "t_max = nan\n", False, 4, "",
                  id="4-config-nan-t-max"),
-    pytest.param(["spectrum", "--n", "3", "--tol-imag", "nan"], "flag", None, False, 4, None,
+    pytest.param(["spectrum", "--n", "3", "--tol-imag", "nan"], "flag", None, False, 4, "",
                  id="4-config-nan-tol-imag"),
-    pytest.param(["spectrum", "--n", "3", "--tol-gap", "inf"], "flag", None, False, 4, None,
+    pytest.param(["spectrum", "--n", "3", "--tol-gap", "inf"], "flag", None, False, 4, "",
                  id="4-config-inf-tol-gap"),
-    pytest.param(["overlap-scan", "--n", "3", "--seed", "-1"], "flag", None, False, 4, None,
+    pytest.param(["overlap-scan", "--n", "3", "--seed", "-1"], "flag", None, False, 4, "",
                  id="4-config-negative-seed-scan"),
-    pytest.param(["evolve", "--n", "3", "--seed", "-1"], "env", None, False, 4, None,
+    pytest.param(["evolve", "--n", "3", "--seed", "-1"], "env", None, False, 4, "",
                  id="4-config-negative-seed-evolve"),
+    pytest.param(["reproduce", "fig2", "--n", "3", "--seed", "-1"], "flag", None, False, 4,
+                 "fig2", id="4-config-negative-seed-reproduce"),
     pytest.param(["spectrum", "--n", "4"], "file", None, False, 4, None, id="4-config-out-is-file"),
     pytest.param(["reproduce", "fig2", "--n", "4"], "file", None, False, 4, None,
                  id="4-config-out-is-file-reproduce"),

@@ -268,6 +268,23 @@ class TestTrajectories:
         distances = [hs_distance(s, dec.stationary_state) for s in states]
         assert np.max(np.abs(traj.distances - distances)) < 1e-6
 
+    def test_exact_segment_reuses_the_decomposed_generator(self, all_to_all6, monkeypatch):
+        model, _ = all_to_all6
+        sup = build_liouvillian(model)
+        dec = decompose(sup)
+        assert dec.generator is sup.matrix
+        rho0 = random_density(dec.dim, RNG)
+        grid = TimeGrid.linear(0.0, 6.0, 13)
+        monkeypatch.setattr(dynamics, "AGREEMENT_TOL", -1.0)  # the routes never agree
+        with mock.patch.object(dynamics, "build_liouvillian") as build, \
+                mock.patch.object(dynamics, "_record", wraps=dynamics._record) as record:
+            traj = robust_trajectory(model, dec, rho0, grid)
+        build.assert_not_called()
+        assert traj.source == "hybrid" and traj.handoff_time is None
+        gen = sup.matrix.toarray()
+        exact = [unvec(sla.expm(t * gen) @ vec(rho0)) for t in grid.points]
+        assert np.max(np.abs(record.call_args.args[1] - exact)) < 1e-10
+
 
 class TestHybridTrajectory:
     DEFECT = 1e-3
