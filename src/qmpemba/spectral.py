@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -118,10 +119,90 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.stationary_state.shape[0]
 
-    def left_pairing_rows(self) -> np.ndarray:
-        """Rows w_k with ``Tr(l_k X) = w_k . vec(X)`` (column-stacking)."""
-        m = self.left_modes.shape[0]
-        return self.left_modes.reshape(m, -1)
+    @cached_property
+    def hermitian_modes(self) -> "HermitianModes":
+        """The packed real form of the modes that a mode sum runs on.
+
+        Built from this object's own fields on first use and kept with it; a
+        copy made with ``dataclasses.replace`` builds its own.
+        """
+        return HermitianModes.build(self)
+
+
+@dataclass(frozen=True)
+class HermitianModes:
+    """The modes of a decomposition in real Hermitian coordinates, block by block.
+
+    A Hermitian matrix X is held by n = d^2 real coordinates: for each block,
+    ``Re X[a, b]`` over the block's support positions with a > b, then
+    ``X[a, a]``, then ``Im X[a, b]``; the blocks follow each other, so every
+    block is one contiguous slice.  ``coordinates`` gathers them from the
+    float view of a (d, d) complex matrix, and ``expand`` is the inverse
+    gather: entry f of the float view of X is entry ``expand[f]`` of
+    ``[x, -x, 0]``, exactly Hermitian by construction.
+
+    A unit is a real mode or the Im lambda > 0 member of a conjugate pair.
+    The Im lambda < 0 partner is dropped: it is the exact adjoint, so with
+    ``z = c e^{lambda t} = P + iQ`` a pair contributes
+    ``z r + (z r)^H = P (r + r^H) + Q i (r - r^H)``, two Hermitian matrices.
+    Each block holds ``(coords, lam, left, right, peak)``: its coordinate
+    slice; the units' eigenvalues, sorted by ``|Re lambda|``; the real rows
+    ``left[2u], left[2u + 1]`` with ``Tr(l_u X) = (left[2u] + i left[2u + 1])
+    . x`` for Hermitian X; the rows ``right[2u], right[2u + 1]``, the
+    coordinates of ``r + r^H`` and ``i (r - r^H)`` (halved for a real mode,
+    whose second row is then zero); and ``peak[u]``, ``max|r_u|`` counted
+    once for each member the unit stands for, so that ``|c_u| peak[u]``
+    bounds the unit's term in every coordinate at t=0 and is the weight
+    ``sum |c_k| max|r_k|`` of its members.  The stationary mode is no unit;
+    ``stationary`` holds its coordinates.
+    """
+
+    coordinates: np.ndarray
+    expand: np.ndarray
+    blocks: tuple
+    stationary: np.ndarray
+
+    @classmethod
+    def build(cls, dec: SpectralDecomposition) -> "HermitianModes":
+        d = dec.dim
+        lam = dec.eigenvalues
+        flat_right = dec.right_modes.reshape(lam.size, d * d)
+        flat_left = dec.left_modes.reshape(lam.size, d * d)
+        coordinates, blocks, start = [], [], 0
+        for modes, support in dec.blocks:
+            a, b = support % d, support // d  # support position a + b d is X[a, b]
+            lower, diag = (a * d + b)[a > b], (a * d + b)[a == b]
+            upper = lower % d * d + lower // d
+            coordinates.append(np.concatenate([2 * lower, 2 * diag, 2 * lower + 1]))
+            units = modes[(lam[modes].imag >= 0) & (modes != 0)]
+            r_lo, r_up = flat_right[np.ix_(units, lower)], flat_right[np.ix_(units, upper)]
+            r_d = flat_right[np.ix_(units, diag)]
+            herm, skew = r_lo + r_up.conj(), r_lo - r_up.conj()  # lower entries of r +- r^H
+            right = np.empty((units.size, 2, support.size))
+            right[:, 0] = np.hstack([herm.real, 2 * r_d.real, herm.imag])
+            right[:, 1] = np.hstack([-skew.imag, -2 * r_d.imag, skew.real])
+            right[lam[units].imag == 0] /= 2
+            # Tr(l X) = sum over a > b of x_re (l[b, a] + l[a, b]) + i x_im (l[b, a] - l[a, b]),
+            # plus the diagonal l[a, a] x_d
+            l_ba, l_ab = flat_left[np.ix_(units, upper)], flat_left[np.ix_(units, lower)]
+            row = np.hstack([l_ba + l_ab, flat_left[np.ix_(units, diag)], 1j * (l_ba - l_ab)])
+            left = np.stack([row.real, row.imag], axis=1)
+            peak = np.abs(np.hstack([r_lo, r_up, r_d])).max(axis=1, initial=0.0)
+            peak[lam[units].imag != 0] *= 2
+            coords = slice(start, start + support.size)
+            blocks.append((coords, lam[units], left.reshape(-1, support.size),
+                           right.reshape(-1, support.size), peak))
+            start = coords.stop
+        coordinates = np.concatenate(coordinates)
+        n = coordinates.size
+        slot = np.full(2 * n, 2 * n)  # float-view position -> coordinate; the rest -> the 0
+        slot[coordinates] = np.arange(n)
+        a, b = np.divmod(np.arange(n), d)  # C-order position a d + b
+        lo = 2 * (np.maximum(a, b) * d + np.minimum(a, b))
+        expand = np.stack([slot[lo], np.where(a < b, n + slot[lo + 1], slot[lo + 1])], axis=1)
+        stationary = dec.stationary_state.view(float).ravel()[coordinates]
+        return cls(coordinates=coordinates, expand=expand.ravel(), blocks=tuple(blocks),
+                   stationary=stationary)
 
 
 def hermitian_operator_basis_rows(d: int) -> sp.csr_matrix:

@@ -30,7 +30,7 @@ from qmpemba import (
     unvec,
     vec,
 )
-from qmpemba import dynamics
+from qmpemba import dynamics, spectral
 from qmpemba.dynamics import AGREEMENT_TOL
 from qmpemba.errors import (
     AssumptionViolation,
@@ -303,13 +303,16 @@ class TestHybridTrajectory:
         except AssumptionViolation as exc:
             dec = exc.decomposition
         rho0 = random_density(d, rng)
-        # Perturb the fastest right mode so that its term of the mode sum is
-        # DEFECT * Herm(e^{lam t} (H1 + i H2)) = DEFECT * e^{Re lam t}
-        # (cos(Im lam t) H1 - sin(Im lam t) H2), with H1 diagonal and H2
-        # off-diagonal: a t=0 defect far above AGREEMENT_TOL whose max-abs
-        # norm never dips below 1/sqrt(2) of its decaying envelope.
-        k = int(np.argmin(dec.eigenvalues.real))
-        coeff = dec.left_pairing_rows()[k] @ vec(rho0)
+        # Perturb the fastest right mode that the sum carries, a real mode or
+        # the Im lam > 0 member of a pair, so that its term of the mode sum
+        # changes by DEFECT * Herm(e^{lam t} (H1 + i H2)) = DEFECT * e^{Re lam t}
+        # (cos(Im lam t) H1 - sin(Im lam t) H2), twice that for a pair, whose
+        # term is z r + (z r)^H; H1 is diagonal and H2 off-diagonal: a t=0
+        # defect far above AGREEMENT_TOL whose max-abs norm never dips below
+        # 1/sqrt(2) of its decaying envelope.
+        lam = dec.eigenvalues
+        k = int(np.argmin(np.where(lam.imag >= 0, lam.real, np.inf)))
+        coeff = dec.left_modes[k].ravel() @ vec(rho0)
         shape = np.zeros((d, d), dtype=complex)
         shape[0, 0], shape[1, 1] = 1.0, -1.0
         shape[0, 1] = shape[1, 0] = 1j
@@ -394,7 +397,7 @@ class TestActiveModeSum:
         assume(dec is not None)  # no unique stationary state
         m = d * d
         right = dec.right_modes.transpose(0, 2, 1).reshape(m, -1)  # rows vec(r_k)
-        left = dec.left_pairing_rows()
+        left = dec.left_modes.reshape(m, -1)  # rows w_k with Tr(l_k X) = w_k . vec(X)
 
         # the block invariants the block-wise sum relies on
         modes = np.concatenate([block[0] for block in dec.blocks])
@@ -419,6 +422,11 @@ class TestActiveModeSum:
         states = evolve_spectral_grid(dec, rho0, grid)
         err = np.max(np.abs(states - reference), axis=(1, 2))
         assert np.all(err <= 8 * (np.finfo(float).eps / 2) * bound)
+        assert np.array_equal(states, states.conj().transpose(0, 2, 1))
+        # the plain sum over every mode, both members of each pair included
+        dense = np.tensordot(terms, dec.right_modes, axes=(1, 0))
+        err = np.max(np.abs(states - dense), axis=(1, 2))
+        assert np.all(err <= 1e-12 * np.max(np.abs(dense), axis=(1, 2)))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -447,7 +455,7 @@ class TestActiveModeSum:
         t_start = offset / float(np.max(np.abs(dec.eigenvalues.real)))
         per_tau = chunks_per_tau * dynamics._MODE_SUM_CHUNK
         grid = TimeGrid.linear(t_start, t_start + 3.0 * dec.tau, 3 * per_tau + 1)
-        coeff = dec.left_pairing_rows() @ vec(rho0)
+        coeff = dec.left_modes.reshape(d * d, -1) @ vec(rho0)
         terms = np.exp(np.outer(grid.points, dec.eigenvalues)) * coeff
         reference = (terms[:, 1:] @ right[1:]).reshape(-1, d, d).transpose(0, 2, 1)
         reference = reference + coeff[0] * dec.stationary_state
@@ -456,6 +464,97 @@ class TestActiveModeSum:
         states = evolve_spectral_grid(dec, rho0, grid)
         err = np.max(np.abs(states - reference), axis=(1, 2))
         assert np.all(err <= 8 * (np.finfo(float).eps / 2) * bound)
+
+
+class TestHermitianModes:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        n_jumps=st.integers(1, 3),
+        planted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_units_are_whole_pairs(self, d, n_jumps, planted, seed):
+        rng = np.random.default_rng(seed)
+        try:
+            dec = decompose(build_liouvillian(random_lindblad_model(d, n_jumps, rng, planted)))
+        except AssumptionViolation as exc:
+            dec = exc.decomposition
+        assume(dec is not None)  # no unique stationary state
+        lam = dec.eigenvalues
+        plan = dec.hermitian_modes
+        for (modes, support), (coords, units, left, right, peak) in zip(dec.blocks, plan.blocks):
+            assert coords.stop - coords.start == support.size
+            assert np.array_equal(units, lam[modes[(lam[modes].imag >= 0) & (modes != 0)]])
+            assert left.shape == right.shape == (2 * units.size, support.size)
+            assert peak.shape == units.shape
+            assert not np.any(right[1::2][units.imag == 0])  # a real mode has one live row
+            # each dropped Im < 0 mode is the exact adjoint of a kept one
+            for j in modes[lam[modes].imag < 0]:
+                partners = modes[lam[modes] == np.conj(lam[j])]
+                assert any(
+                    np.array_equal(dec.right_modes[j], dec.right_modes[k].conj().T)
+                    for k in partners
+                )
+        # the prefix counts units, two rows each, so no prefix splits a pair
+        counted, active_prefix = [], dynamics._active_prefix
+
+        def recording(weight, rate, starts):
+            prefix = active_prefix(weight, rate, starts)
+            counted.append((weight.size, prefix))
+            return prefix
+
+        rho0 = random_density(d, rng)
+        grid = TimeGrid.linear(0.0, 6.0 * dec.tau, 3 * dynamics._MODE_SUM_CHUNK + 1)
+        with mock.patch.object(dynamics, "_active_prefix", recording):
+            evolve_spectral_grid(dec, rho0, grid)
+        assert [size for size, _ in counted] == [b[1].size for b in plan.blocks]
+        assert all(np.all(prefix <= size) for size, prefix in counted)
+
+    def test_a_replaced_decomposition_is_summed_from_its_own_modes(self, all_to_all6):
+        _, dec = all_to_all6
+        rho0 = random_density(dec.dim, RNG)
+        grid = TimeGrid.linear(0.0, 3.0 * dec.tau, 41)
+        states = evolve_spectral_grid(dec, rho0, grid)  # builds and keeps dec's packed modes
+        right = dec.right_modes.copy()
+        right[1:] *= 2
+        doubled = replace(dec, right_modes=right)
+        assert doubled.hermitian_modes is not dec.hermitian_modes
+        got = evolve_spectral_grid(doubled, rho0, grid)
+        expected = 2 * states - np.trace(rho0).real * dec.stationary_state
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert dec.hermitian_modes is dec.hermitian_modes  # kept, not rebuilt
+
+
+class TestHandoffDecision:
+    @settings(max_examples=20, deadline=None)
+    @given(d=st.integers(2, 6), n_jumps=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_decision_survives_row_reordering(self, d, n_jumps, seed):
+        # the same planted model decomposed with the rows of each block in
+        # three orders: the eigensolver rounds differently each time, and the
+        # t=0 decision must not follow the rounding
+        rng = np.random.default_rng(seed)
+        model = random_lindblad_model(d, n_jumps, rng, planted=True)
+        sup = build_liouvillian(model)
+        rho0 = random_density(d, rng)
+        blocks = spectral._blocks
+        grid, sources = None, []
+        for order in (lambda rows: rows, lambda rows: rows[::-1], rng.permutation):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(spectral, "_blocks", lambda lr, basis: [order(r) for r in blocks(lr, basis)])
+                try:
+                    dec = decompose(sup)
+                except AssumptionViolation as exc:
+                    dec = exc.decomposition
+            assume(dec is not None)  # no unique stationary state
+            grid = grid or TimeGrid.linear(0.0, 4.0 * dec.tau, 33)
+            traj = robust_trajectory(model, dec, rho0, grid)
+            weight = sum(w.sum() for _, w in dynamics._coefficients(dec, rho0))
+            bound = dec.diagnostics.biorthonormality_residual * weight
+            defect = np.max(np.abs(evolve_spectral_grid(dec, rho0, grid)[0] - rho0))
+            assert (traj.source == "spectral") == (max(bound, defect) <= AGREEMENT_TOL)
+            sources.append(traj.source)
+        assert sources[1:] == sources[:-1]
 
 
 class TestLateTimeAffinity:

@@ -141,7 +141,7 @@ class TestBlocks:
             return
         assert dec.diagnostics.biorthonormality_residual <= 1e-8
         # off-block entries of the full pairing are exact zeros
-        full = dec.left_pairing_rows() @ dec.right_modes.transpose(0, 2, 1).reshape(m, -1).T
+        full = dec.left_modes.reshape(m, -1) @ dec.right_modes.transpose(0, 2, 1).reshape(m, -1).T
         assert np.max(np.abs(full - np.eye(m))) == pytest.approx(
             dec.diagnostics.biorthonormality_residual, rel=1e-6, abs=1e-14
         )
@@ -213,7 +213,7 @@ class TestPolish:
         for k in (1, 2):
             lam = dec.eigenvalues[k]
             v = basis.conj() @ vec(dec.right_modes[k])  # Hermitian-basis coordinates
-            w = dec.left_pairing_rows()[k] @ basis.T
+            w = dec.left_modes[k].ravel() @ basis.T
             assert np.linalg.norm(lr @ v - lam * v) <= 1e-12 * scale * np.linalg.norm(v)
             assert np.linalg.norm(w @ lr - lam * w) <= 1e-12 * scale * np.linalg.norm(w)
 
@@ -367,20 +367,20 @@ class TestHermitizeSlowMode:
 class TestModeOverlaps:
     def test_stationary_excites_nothing(self, dicke6):
         _, dec = dicke6
-        c = dec.left_pairing_rows() @ vec(dec.stationary_state)
+        c = dec.left_modes.reshape(dec.dim**2, -1) @ vec(dec.stationary_state)
         assert abs(c[0] - 1) < 1e-8
         assert np.max(np.abs(c[1:])) < 1e-8
 
     def test_normalization_component(self, dicke6):
         _, dec = dicke6
         rho = random_density(dec.dim, RNG)
-        c = dec.left_pairing_rows() @ vec(rho)
+        c = dec.left_modes.reshape(dec.dim**2, -1) @ vec(rho)
         assert abs(c[0] - 1) < 1e-10
 
     def test_reconstruction(self, dicke6):
         _, dec = dicke6
         rho = random_density(dec.dim, RNG)
-        c = dec.left_pairing_rows() @ vec(rho)
+        c = dec.left_modes.reshape(dec.dim**2, -1) @ vec(rho)
         rec = np.tensordot(c, dec.right_modes, axes=(0, 0))
         assert np.max(np.abs(rec - rho)) < 1e-8
 
@@ -391,11 +391,11 @@ class TestOverlapDecayLaw:
 
         _, dec = all_to_all6
         rho0 = random_density(dec.dim, RNG)
-        c0 = dec.left_pairing_rows() @ vec(rho0)
+        c0 = dec.left_modes.reshape(dec.dim**2, -1) @ vec(rho0)
         grid = TimeGrid(points=np.array([0.3, 1.1]))
         for t, rho_t in zip(grid.points, evolve_spectral_grid(dec, rho0, grid)):
             rho_t = rho_t / np.trace(rho_t).real
-            c_t = dec.left_pairing_rows() @ vec(rho_t)
+            c_t = dec.left_modes.reshape(dec.dim**2, -1) @ vec(rho_t)
             for k in range(1, 6):
                 expected = np.exp(t * dec.eigenvalues[k]) * c0[k]
                 assert abs(c_t[k] - expected) < 1e-8 * max(1, abs(c0[k]))
