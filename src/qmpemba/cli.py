@@ -35,7 +35,6 @@ from .dynamics import (
 from .errors import (
     AssumptionViolation,
     ConfigError,
-    DegenerateStationaryState,
     QmpembaError,
     WindowEmpty,
 )
@@ -173,30 +172,23 @@ def _manifest(out_dir: Path, command: str, cfg: ExperimentConfig, t0: float,
 
 def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path) -> int:
     t0 = time.monotonic()
+    error = None
     try:
         _, dec = _decompose(cfg)
-    except DegenerateStationaryState as exc:
-        _write_csv(out_dir / "spectrum.csv", ("k", "re_lambda", "im_lambda"),
-                   _spectrum_rows(exc.eigenvalues))
-        _manifest(out_dir, "spectrum", cfg, t0, ["spectrum.csv", "error.json"],
-                  {"assumptions": None})
-        return _emit_error(out_dir, exc, EXIT_ASSUMPTIONS)
-    except AssumptionViolation as exc:
-        dec = exc.decomposition
-        _write_csv(out_dir / "spectrum.csv", ("k", "re_lambda", "im_lambda"),
-                   _spectrum_rows(dec.eigenvalues))
-        _write_json(out_dir / "spectrum_summary.json", _assumptions(dec))
-        _manifest(out_dir, "spectrum", cfg, t0,
-                  ["spectrum.csv", "spectrum_summary.json", "error.json"],
-                  {"assumptions": _assumptions(dec)})
-        return _emit_error(out_dir, exc, EXIT_ASSUMPTIONS)
+    except AssumptionViolation as exc:  # a finished decomposition, or eigenvalues only
+        error, dec = exc, exc.decomposition
+    eigenvalues = error.eigenvalues if dec is None else dec.eigenvalues
     _write_csv(out_dir / "spectrum.csv", ("k", "re_lambda", "im_lambda"),
-               _spectrum_rows(dec.eigenvalues))
-    _write_json(out_dir / "spectrum_summary.json", _assumptions(dec))
-    _manifest(out_dir, "spectrum", cfg, t0,
-              ["spectrum.csv", "spectrum_summary.json"],
-              {"assumptions": _assumptions(dec)})
-    return EXIT_OK
+               _spectrum_rows(eigenvalues))
+    files, assumptions = ["spectrum.csv"], None
+    if dec is not None:
+        assumptions = _assumptions(dec)
+        _write_json(out_dir / "spectrum_summary.json", assumptions)
+        files.append("spectrum_summary.json")
+    if error is not None:
+        files.append("error.json")
+    _manifest(out_dir, "spectrum", cfg, t0, files, {"assumptions": assumptions})
+    return EXIT_OK if error is None else _emit_error(out_dir, error, EXIT_ASSUMPTIONS)
 
 
 def _scan_outputs(dec, cfg):
@@ -270,14 +262,12 @@ def cmd_evolve(cfg: ExperimentConfig, out_dir: Path, rotated: bool) -> int:
     t0 = time.monotonic()
     model, dec = _decompose(cfg)
     psi = random_pure_state(cfg.n, cfg.seed)
+    rot_extra = None
     if rotated:
         rot = optimal_unitary(dec, psi)
-        psi_used = rot.unitary @ psi
+        psi = rot.unitary @ psi
         rot_extra = _rotation_extra(rot)
-    else:
-        rot_extra = None
-    rho0 = np.outer(psi_used if rotated else psi,
-                    (psi_used if rotated else psi).conj())
+    rho0 = np.outer(psi, psi.conj())
     grid = _trajectory_grid(cfg, dec, rotated)
     window = cfg.fit_window or (FIT_WINDOW_ROTATED if rotated else FIT_WINDOW_UNROTATED)
     traj, _, fit_info = _fitted_trajectory(model, dec, rho0, grid, window)

@@ -48,6 +48,8 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
+        if self.fit_window is not None:
+            self.fit_window = tuple(float(x) for x in self.fit_window)
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.n < 1:
@@ -151,18 +153,12 @@ def read_config(path=None, overrides: Optional[dict] = None) -> dict:
 def load_config(path=None, overrides: Optional[dict] = None) -> ExperimentConfig:
     """Build a configuration from defaults, an optional file, and overrides."""
     values = read_config(path, overrides)
-    fit = None
     if "fit_hi" in values or "fit_lo" in values:
         if not ("fit_hi" in values and "fit_lo" in values):
             raise ConfigError("fit_hi and fit_lo must be given together")
         fit = (values.pop("fit_hi"), values.pop("fit_lo"))
-    if "fit_window" in values:
-        fit = values.pop("fit_window")
+        values.setdefault("fit_window", fit)  # an explicit fit_window wins
     try:
-        cfg = ExperimentConfig(**values)
+        return ExperimentConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-    if fit is not None:
-        cfg.fit_window = tuple(float(x) for x in fit)
-        cfg.__post_init__()
-    return cfg

@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    NoConvergence,
     NoOppositeSign,
     NotNormalized,
     NoZeroEigenvalue,
@@ -83,17 +82,10 @@ def slow_mode_spectrum(ell2) -> SlowModeSpectrum:
     eig = hermitian_eig(ell2)
     alphas = eig.eigenvalues[::-1].copy()
     phis = eig.eigenvectors[:, ::-1].copy()
-    tol_alpha = TOL_ALPHA_FACTOR * float(np.max(np.abs(alphas)))
-
     mods = np.abs(alphas)
-    top = float(np.max(mods))
-    candidates = np.flatnonzero(mods == top)
-    index_1 = int(candidates[0])
-    for c in candidates:
-        if alphas[c] > 0:
-            index_1 = int(c)
-            break
-
+    tol_alpha = TOL_ALPHA_FACTOR * float(np.max(mods))
+    # alphas descend, so the first largest modulus is the positive one of a tie
+    index_1 = int(np.argmax(mods))
     sign_1 = np.sign(alphas[index_1])
     opposite = np.flatnonzero((np.sign(alphas) == -sign_1) & (mods > tol_alpha))
     near_zero = np.flatnonzero(mods <= tol_alpha)
@@ -127,40 +119,24 @@ def _check_state(psi) -> np.ndarray:
     return psi
 
 
-def build_u1(psi, phis) -> np.ndarray:
-    """Unitary mapping an auxiliary basis with ``psi`` first onto ``phis``.
+def build_u1(psi, phi) -> np.ndarray:
+    """Unitary sending the state ``psi`` to the unit target vector ``phi``.
 
-    The auxiliary basis starts from ``psi`` and is completed by Gram-Schmidt
-    over the standard basis, dropping the standard vector with the largest
-    overlap with ``psi`` (processed in index order); any completion yields a
-    valid map, this one is deterministic.  The result sends ``psi`` to the
-    first column of ``phis``.
+    A phase times one Householder reflection: with ``e^{ia}`` the phase of
+    ``<phi, psi>`` (1 when the two are orthogonal) and ``w = psi + e^{ia} phi``,
+    ``U1 = -e^{-ia} (1 - 2 w w^dagger / |w|^2)``.  Since
+    ``|w|^2 = 2 + 2 |<phi, psi>| >= 2`` no input is degenerate.
     """
     psi = _check_state(psi)
-    phis = np.asarray(phis, dtype=complex)
-    d = psi.size
-    if phis.shape != (d, d):
-        raise ShapeMismatch(f"basis shape {phis.shape} does not match state length {d}")
-    if float(np.max(np.abs(phis.conj().T @ phis - np.eye(d)))) > 1e-10:
-        raise NoConvergence("phis columns are not orthonormal within 1e-10")
-
-    drop = int(np.argmax(np.abs(psi)))
-    aux = np.empty((d, d), dtype=complex)
-    aux[:, 0] = psi
-    col = 1
-    for j in range(d):
-        if j == drop:
-            continue
-        v = np.zeros(d, dtype=complex)
-        v[j] = 1.0
-        for _ in range(2):  # re-orthogonalize once ("twice is enough")
-            v -= aux[:, :col] @ (aux[:, :col].conj().T @ v)
-        norm = np.linalg.norm(v)
-        if norm < 1e-10:
-            raise NoConvergence("auxiliary basis completion degenerated")
-        aux[:, col] = v / norm
-        col += 1
-    return phis @ aux.conj().T
+    phi = _check_state(phi)
+    if phi.shape != psi.shape:
+        raise ShapeMismatch(f"target length {phi.size} does not match state length {psi.size}")
+    overlap = np.vdot(phi, psi)
+    phase = overlap / abs(overlap) if overlap != 0 else 1.0
+    w = psi + phase * phi
+    reflection = np.eye(psi.size, dtype=complex)
+    reflection -= np.outer(w, (2.0 / np.vdot(w, w).real) * w.conj())
+    return -np.conj(phase) * reflection
 
 
 def rotation_angle(alpha_1: float, alpha_n: float) -> float:
@@ -206,9 +182,18 @@ def build_permutation(levels: SlowModeSpectrum) -> np.ndarray:
     return u
 
 
-def _overlap(ell2: np.ndarray, u: np.ndarray, rho0: np.ndarray) -> np.ndarray:
-    """``Tr(l2 U rho0 U^dagger)`` for one unitary or a stack of them."""
-    return np.trace(ell2 @ u @ rho0 @ u.conj().swapaxes(-1, -2), axis1=-2, axis2=-1)
+def _overlap(ell2: np.ndarray, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """``Tr(l2 U psi psi^dagger U^dagger)`` as ``(U psi)^dagger l2 (U psi)``, for one or many U."""
+    v = u @ psi
+    return np.sum(v.conj() * (v @ ell2.T), axis=-1)
+
+
+def _prepare(dec: SpectralDecomposition, psi):
+    """The checked state, the Hermitian slow mode, its levels and ``U1``."""
+    psi = _check_state(psi)
+    ell2 = hermitize_slow_mode(dec)
+    levels = slow_mode_spectrum(ell2)
+    return psi, ell2, levels, build_u1(psi, levels.phis[:, levels.index_1])
 
 
 def optimal_unitary(dec: SpectralDecomposition, psi) -> MpembaRotation:
@@ -218,14 +203,7 @@ def optimal_unitary(dec: SpectralDecomposition, psi) -> MpembaRotation:
     zeroes the overlap exactly in exact arithmetic); the permutation branch,
     which leaves a residual bounded by the zero tolerance, only otherwise.
     """
-    psi = _check_state(psi)
-    ell2 = hermitize_slow_mode(dec)
-    levels = slow_mode_spectrum(ell2)
-
-    d = psi.size
-    order = [levels.index_1] + [k for k in range(d) if k != levels.index_1]
-    u1 = build_u1(psi, levels.phis[:, order])
-
+    psi, ell2, levels, u1 = _prepare(dec, psi)
     if levels.zero_branch:
         u2 = build_permutation(levels)
         s_bar = None
@@ -236,14 +214,13 @@ def optimal_unitary(dec: SpectralDecomposition, psi) -> MpembaRotation:
         branch = ROTATION
 
     unitary = u2 @ u1
-    rho0 = np.outer(psi, psi.conj())
     return MpembaRotation(
         u1=u1,
         u2=u2,
         unitary=unitary,
         branch=branch,
         s_bar=s_bar,
-        residual_overlap=float(abs(_overlap(ell2, unitary, rho0))),
+        residual_overlap=float(abs(_overlap(ell2, unitary, psi))),
         initial_overlap=float(np.real(np.vdot(psi, ell2 @ psi))),
         slow_spectrum=levels,
     )
@@ -252,21 +229,15 @@ def optimal_unitary(dec: SpectralDecomposition, psi) -> MpembaRotation:
 def overlap_scan(dec: SpectralDecomposition, psi, s_grid) -> list[tuple[float, float]]:
     """Slow-mode overlap of the rotated state at each angle of ``s_grid``.
 
-    The scan evaluates ``Tr(l2 U(s) rho1 U(s)^dagger)`` through the actual
-    rotated state, for every angle at once on the stack of rotations that
-    ``build_rotation`` returns; it equals ``alpha_1 cos^2(s) + alpha_n sin^2(s)``
+    The scan rotates the state vector itself: with ``psi1 = U1 psi`` it
+    evaluates ``(U(s) psi1)^dagger l2 (U(s) psi1)`` for every angle at once on
+    the stack of rotations that ``build_rotation`` returns, and builds no
+    density matrix.  It equals ``alpha_1 cos^2(s) + alpha_n sin^2(s)``
     pointwise, with the endpoints reproducing the two selected eigenvalues.
     """
-    psi = _check_state(psi)
-    ell2 = hermitize_slow_mode(dec)
-    levels = slow_mode_spectrum(ell2)
+    psi, ell2, levels, u1 = _prepare(dec, psi)
     if levels.zero_branch:
         raise ZeroBranch("overlap scan requires an opposite-sign partner level")
-    d = psi.size
-    order = [levels.index_1] + [k for k in range(d) if k != levels.index_1]
-    u1 = build_u1(psi, levels.phis[:, order])
-    rho0 = np.outer(psi, psi.conj())
-    rho1 = u1 @ rho0 @ u1.conj().T
     angles = np.asarray(s_grid, dtype=float)
-    values = _overlap(ell2, build_rotation(levels, angles), rho1).real
+    values = _overlap(ell2, build_rotation(levels, angles), u1 @ psi).real
     return [(float(s), float(v)) for s, v in zip(angles, values)]

@@ -55,6 +55,11 @@ class TestConfig:
         path.write_text("fit_hi = 0.1\nfit_lo = 0.0001\n")
         cfg = load_config(path)
         assert cfg.fit_window == (0.1, 0.0001)
+        # an explicit window (the --fit-window flag) wins over the file keys,
+        # and any window is held as a tuple of floats
+        cfg = load_config(path, {"fit_window": [1, 0.5]})
+        assert cfg.fit_window == (1.0, 0.5)
+        assert all(type(x) is float for x in cfg.fit_window)
 
     def test_bad_model(self):
         with pytest.raises(ConfigError):
@@ -84,18 +89,33 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--model", "all-to-all", "--n", "6", "--out", str(out_b)]) == 0
         assert (out_a / "spectrum.csv").read_bytes() == (out_b / "spectrum.csv").read_bytes()
 
-    def test_degenerate_slow_mode_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("flags, cfg_text, error, decomposed", [
         # an absurdly wide uniqueness tolerance forces the degenerate branch
+        pytest.param(["--tol-gap", "1e6"], None, "DegenerateSlowMode", True,
+                     id="DegenerateSlowMode"),
+        # without coupling the dicke model has no dissipation: every diagonal
+        # state is stationary, and only the eigenvalues are known
+        pytest.param([], "g = 0\n", "DegenerateStationaryState", False,
+                     id="DegenerateStationaryState"),
+    ])
+    def test_degenerate_slow_mode_exit_2(self, flags, cfg_text, error, decomposed, tmp_path):
         out = tmp_path / "run"
-        code = main([
-            "spectrum", "--model", "dicke", "--n", "6",
-            "--tol-gap", "1e6", "--out", str(out),
-        ])
-        assert code == 2
+        argv = ["spectrum", "--model", "dicke", "--n", "6", "--out", str(out), *flags]
+        if cfg_text is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(cfg_text)
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
         err = read_json(out / "error.json")
-        assert err["error"] == "DegenerateSlowMode"
+        assert err["error"] == error
         assert err["exit_code"] == 2
-        assert (out / "spectrum.csv").exists()
+        _, data = read_csv(out / "spectrum.csv")
+        assert data.shape == (49, 3)
+        assert (out / "spectrum_summary.json").exists() == decomposed
+        manifest = read_json(out / "manifest.json")
+        assert (manifest["assumptions"] is not None) == decomposed
+        assert manifest["files"] == sorted(
+            p.name for p in out.iterdir() if p.name != "manifest.json")
 
     def test_bad_flag_exit_4(self, tmp_path):
         assert main(["spectrum", "--n", "not-a-number"]) == 4
@@ -213,6 +233,8 @@ EXIT_CODE_ROWS = [
                  "flag", None, False, 2, "fig2", id="2-assumptions-reproduce"),
     pytest.param(["overlap-scan", "--n", "4", "--tol-gap", "1e6"],
                  "env", None, False, 2, "", id="2-assumptions-env"),
+    pytest.param(["spectrum", "--n", "3"], "flag", "g = 0\n", False, 2, "",
+                 id="2-assumptions-stationary-state"),
     pytest.param(["evolve", "--n", "4"], "env", None, True, 3, "", id="3-numerical-env"),
     pytest.param(["reproduce", "fig3", "--n", "4"], "flag", None, True, 3, "fig3",
                  id="3-numerical-reproduce"),
