@@ -284,7 +284,7 @@ def _reproduce_assertions(figure, dec, rot, rows, fits, trajs):
     lam = dec.eigenvalues
     a1, an = rot.slow_spectrum.alpha_1, rot.slow_spectrum.alpha_n
     scan_dev = max(abs(r[1] - r[2]) for r in rows)
-    ell2_scale = float(np.max(np.abs(dec.left_modes[1])))
+    ell2_scale = float(np.max(np.abs(dec.leading_left[1])))
     checks = {
         "lambda2_real_and_unique": dec.diagnostics.flags.clean,
         "residual_overlap_small": rot.residual_overlap <= 1e-9 * ell2_scale,

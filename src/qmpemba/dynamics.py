@@ -111,7 +111,7 @@ def evolve_spectral_grid(dec: SpectralDecomposition, rho0, grid: TimeGrid) -> np
     """Stack of states at all grid times, summed block by block in real Hermitian coordinates.
 
     Sums ``r_1 + sum_k exp(t lam_k) Tr(l_k rho0) r_k`` on the packed modes of
-    ``dec.hermitian_modes``.  A unit, a real mode or a conjugate pair, has
+    ``dec.packed``.  A unit, a real mode or a conjugate pair, has
     the coefficient ``z = c e^{lam t} = P + iQ``, and the float view of a
     chunk's coefficients meets each unit's two real rows (a real mode's Q is
     0 and so is its second row).  So every block contributes one real product
@@ -120,12 +120,11 @@ def evolve_spectral_grid(dec: SpectralDecomposition, rho0, grid: TimeGrid) -> np
     term is added as it stands as the product is stored into the block's
     slice of the coordinate buffer.  One ``take`` through ``expand`` turns
     the chunk's coordinates into its states, exactly Hermitian by
-    construction.  The packed modes are built once per decomposition;
-    nothing else is kept between calls.
+    construction.  Nothing is kept between calls.
     """
     d = dec.dim
     rho0 = _check_density(rho0, d)
-    plan = dec.hermitian_modes
+    plan = dec.packed
     n = plan.coordinates.size
     times = grid.points
     starts = times[::_MODE_SUM_CHUNK]
@@ -133,7 +132,7 @@ def evolve_spectral_grid(dec: SpectralDecomposition, rho0, grid: TimeGrid) -> np
         (coords, lam, right, c, _active_prefix(weight, lam.real, starts))
         for (coords, lam, _, right, _), (c, weight) in zip(plan.blocks, _coefficients(dec, rho0))
     ]
-    stationary = plan.stationary * np.einsum("ij,ji->", dec.left_modes[0], rho0).real
+    stationary = plan.stationary * np.einsum("ij,ji->", dec.leading_left[0], rho0).real
     states = np.empty((times.size, d, d), dtype=complex)
     out = states.view(float).reshape(times.size, 2 * n)
     buf = np.zeros((_MODE_SUM_CHUNK, 2 * n + 1))  # [x | -x | 0] per grid time
@@ -154,8 +153,8 @@ def evolve_spectral_grid(dec: SpectralDecomposition, rho0, grid: TimeGrid) -> np
 
 
 def _coefficients(dec: SpectralDecomposition, rho0: np.ndarray) -> list:
-    """Per block of ``dec.hermitian_modes``: ``c_u = Tr(l_u rho0)`` and the weights ``|c_u| peak_u``."""
-    plan = dec.hermitian_modes
+    """Per block of ``dec.packed``: ``c_u = Tr(l_u rho0)`` and the weights ``|c_u| peak_u``."""
+    plan = dec.packed
     x = ((rho0 + rho0.conj().T) / 2).view(float).ravel()[plan.coordinates]
     out = []
     for coords, _, left, _, peak in plan.blocks:
@@ -334,7 +333,7 @@ def fit_decay_rate(
 
 def _record(dec, states, grid, source, handoff) -> TrajectoryRecord:
     dists = hs_distance(states, dec.stationary_state)
-    overlaps = states.reshape(states.shape[0], -1) @ dec.left_modes[1].T.ravel()
+    overlaps = states.reshape(states.shape[0], -1) @ dec.leading_left[1].T.ravel()
     return TrajectoryRecord(
         times=grid.points.copy(),
         distances=dists,

@@ -22,10 +22,17 @@ Left modes are rows of the (Newton-refined) inverse of the right eigenvector
 matrix, so ``Tr(l_k r_h) = delta_kh`` holds to solver accuracy by
 construction.  The few slowest modes, which carry all the downstream physics,
 are additionally polished by shifted inverse iteration.
+
+Each block's modes are stored once, packed in real Hermitian coordinates on
+the block's support (``HermitianModes``): one unit per real mode or conjugate
+pair, written straight from the block's own arrays.  Full complex matrices
+are kept only for the identity, the slow left mode and the stationary state;
+the full mode arrays are expanded from the packed form on request.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -86,50 +93,6 @@ class Diagnostics:
 
 
 @dataclass(frozen=True)
-class SpectralDecomposition:
-    """Sorted eigenvalues with biorthonormalized left/right eigenmatrices.
-
-    ``eigenvalues[k]`` pairs ``left_modes[k]`` with ``right_modes[k]`` under
-    the trace pairing; ``left_modes[0]`` is the identity and
-    ``right_modes[0]`` the trace-one stationary state.
-
-    ``blocks`` holds one ``(modes, support)`` pair of index arrays per
-    connected block of the generator: the block's global mode indices, in
-    ascending order and so sorted by ``|Re lambda|``, and the ascending
-    column-stacking positions ``i + j d`` of its support.  The supports are
-    disjoint and every right and left mode of a block is exactly zero outside
-    its support, so a mode sum can run block by block over the support alone.
-
-    ``generator`` is the CSR generator matrix that was decomposed, the same
-    object as the input's ``matrix`` (a reference, not a copy), so that a
-    trajectory can propagate with exactly the decomposed generator.
-    """
-
-    eigenvalues: np.ndarray
-    right_modes: np.ndarray
-    left_modes: np.ndarray
-    blocks: tuple
-    stationary_state: np.ndarray
-    tau: float
-    gap3: float
-    diagnostics: Diagnostics
-    generator: sp.csr_matrix
-
-    @property
-    def dim(self) -> int:
-        return self.stationary_state.shape[0]
-
-    @cached_property
-    def hermitian_modes(self) -> "HermitianModes":
-        """The packed real form of the modes that a mode sum runs on.
-
-        Built from this object's own fields on first use and kept with it; a
-        copy made with ``dataclasses.replace`` builds its own.
-        """
-        return HermitianModes.build(self)
-
-
-@dataclass(frozen=True)
 class HermitianModes:
     """The modes of a decomposition in real Hermitian coordinates, block by block.
 
@@ -163,36 +126,12 @@ class HermitianModes:
     stationary: np.ndarray
 
     @classmethod
-    def build(cls, dec: SpectralDecomposition) -> "HermitianModes":
-        d = dec.dim
-        lam = dec.eigenvalues
-        flat_right = dec.right_modes.reshape(lam.size, d * d)
-        flat_left = dec.left_modes.reshape(lam.size, d * d)
-        coordinates, blocks, start = [], [], 0
-        for modes, support in dec.blocks:
-            a, b = support % d, support // d  # support position a + b d is X[a, b]
-            lower, diag = (a * d + b)[a > b], (a * d + b)[a == b]
-            upper = lower % d * d + lower // d
-            coordinates.append(np.concatenate([2 * lower, 2 * diag, 2 * lower + 1]))
-            units = modes[(lam[modes].imag >= 0) & (modes != 0)]
-            r_lo, r_up = flat_right[np.ix_(units, lower)], flat_right[np.ix_(units, upper)]
-            r_d = flat_right[np.ix_(units, diag)]
-            herm, skew = r_lo + r_up.conj(), r_lo - r_up.conj()  # lower entries of r +- r^H
-            right = np.empty((units.size, 2, support.size))
-            right[:, 0] = np.hstack([herm.real, 2 * r_d.real, herm.imag])
-            right[:, 1] = np.hstack([-skew.imag, -2 * r_d.imag, skew.real])
-            right[lam[units].imag == 0] /= 2
-            # Tr(l X) = sum over a > b of x_re (l[b, a] + l[a, b]) + i x_im (l[b, a] - l[a, b]),
-            # plus the diagonal l[a, a] x_d
-            l_ba, l_ab = flat_left[np.ix_(units, upper)], flat_left[np.ix_(units, lower)]
-            row = np.hstack([l_ba + l_ab, flat_left[np.ix_(units, diag)], 1j * (l_ba - l_ab)])
-            left = np.stack([row.real, row.imag], axis=1)
-            peak = np.abs(np.hstack([r_lo, r_up, r_d])).max(axis=1, initial=0.0)
-            peak[lam[units].imag != 0] *= 2
-            coords = slice(start, start + support.size)
-            blocks.append((coords, lam[units], left.reshape(-1, support.size),
-                           right.reshape(-1, support.size), peak))
-            start = coords.stop
+    def assemble(cls, coordinates: list, blocks: list, stationary_state: np.ndarray):
+        """The packed form from each block's coordinates and ``(lam, left, right, peak)``."""
+        d = stationary_state.shape[0]
+        stops = np.cumsum([c.size for c in coordinates])
+        blocks = [(slice(stop - c.size, stop), *units)
+                  for c, stop, units in zip(coordinates, stops, blocks)]
         coordinates = np.concatenate(coordinates)
         n = coordinates.size
         slot = np.full(2 * n, 2 * n)  # float-view position -> coordinate; the rest -> the 0
@@ -200,9 +139,106 @@ class HermitianModes:
         a, b = np.divmod(np.arange(n), d)  # C-order position a d + b
         lo = 2 * (np.maximum(a, b) * d + np.minimum(a, b))
         expand = np.stack([slot[lo], np.where(a < b, n + slot[lo + 1], slot[lo + 1])], axis=1)
-        stationary = dec.stationary_state.view(float).ravel()[coordinates]
+        stationary = stationary_state.view(float).ravel()[coordinates]
         return cls(coordinates=coordinates, expand=expand.ravel(), blocks=tuple(blocks),
                    stationary=stationary)
+
+    def hermitian(self, rows: np.ndarray) -> np.ndarray:
+        """The stack of Hermitian matrices whose coordinates are the rows of ``rows``."""
+        n = self.coordinates.size
+        buf = np.zeros((rows.shape[0], 2 * n + 1))
+        buf[:, :n] = rows
+        np.negative(rows, out=buf[:, n : 2 * n])
+        d = math.isqrt(n)
+        return np.take(buf, self.expand, axis=1).view(complex).reshape(-1, d, d)
+
+
+@dataclass(frozen=True)
+class SpectralDecomposition:
+    """Sorted eigenvalues with their biorthonormal modes, stored packed per block.
+
+    ``eigenvalues[k]`` pairs the left mode l_k with the right mode r_k under
+    the trace pairing.  ``packed`` is the only store of the modes: each
+    block's units in real Hermitian coordinates (see ``HermitianModes``), the
+    form that the mode sum runs on.  Production reads only three full
+    matrices: ``stationary_state``, the trace-one r_1, and ``leading_left``,
+    which holds l_1 (exactly the identity) and the slow left mode l_2, with
+    exactly the values that ``decompose`` computed.
+
+    ``left_modes`` and ``right_modes`` expand the packed form into full
+    (m, d, d) arrays on first use and keep them.  Real modes come back
+    exactly; the members of a conjugate pair come back to rounding of the
+    packed sums, the Im lambda < 0 member as the exact adjoint of its partner.
+    ``left_modes[:2]`` is ``leading_left`` and ``right_modes[0]`` is
+    ``stationary_state``.  A copy made with ``dataclasses.replace`` expands
+    its own fields.
+
+    ``blocks`` holds one ``(modes, support)`` pair of index arrays per
+    connected block of the generator: the block's global mode indices, in
+    ascending order and so sorted by ``|Re lambda|``, and the ascending
+    column-stacking positions ``i + j d`` of its support.  The supports are
+    disjoint and every right and left mode of a block is exactly zero outside
+    its support, so a mode sum can run block by block over the support alone.
+
+    ``generator`` is the CSR generator matrix that was decomposed, the same
+    object as the input's ``matrix`` (a reference, not a copy), so that a
+    trajectory can propagate with exactly the decomposed generator.
+    """
+
+    eigenvalues: np.ndarray
+    packed: HermitianModes
+    leading_left: np.ndarray
+    blocks: tuple
+    stationary_state: np.ndarray
+    tau: float
+    gap3: float
+    diagnostics: Diagnostics
+    generator: sp.csr_matrix
+
+    @property
+    def dim(self) -> int:
+        return self.stationary_state.shape[0]
+
+    @cached_property
+    def left_modes(self) -> np.ndarray:
+        return _full_modes(self, left=True)
+
+    @cached_property
+    def right_modes(self) -> np.ndarray:
+        return _full_modes(self, left=False)
+
+
+def _full_modes(dec: SpectralDecomposition, left: bool) -> np.ndarray:
+    """All left or all right modes as one (m, d, d) array, expanded from ``dec.packed``.
+
+    With the Hermitian matrices A, B of a unit's two rows, a right mode is
+    ``(A - iB) / 2`` (``A`` for a real mode, stored halved) and a left mode is
+    ``P + iQ``, where P and Q are A and B with their off-diagonal
+    coordinates halved: ``Tr(P X) = p . x`` counts each pair a > b twice.
+    """
+    lam, packed = dec.eigenvalues, dec.packed
+    n = packed.coordinates.size
+    flat = packed.coordinates // 2
+    half = np.where(flat // dec.dim == flat % dec.dim, 1.0, 0.5)
+    out = np.zeros((lam.size, dec.dim, dec.dim), dtype=complex)
+    for (modes, _), (coords, lam_u, l_rows, r_rows, _) in zip(dec.blocks, packed.blocks):
+        rows = np.zeros((2 * lam_u.size, n))
+        rows[:, coords] = l_rows * half[coords] if left else r_rows
+        h = packed.hermitian(rows)
+        a, b = h[0::2], h[1::2]
+        units = modes[(lam[modes].imag >= 0) & (modes != 0)]
+        out[units] = a + 1j * b if left else a - 1j * b
+        if not left:
+            out[units[lam_u.imag != 0]] /= 2
+    if left:
+        out[:2] = dec.leading_left
+    else:
+        out[0] = dec.stationary_state
+    for modes, _ in dec.blocks:
+        partners = modes[_conjugate_partners(lam[modes])]
+        down = lam[modes].imag < 0
+        out[modes[down]] = out[partners[down]].conj().transpose(0, 2, 1)
+    return out
 
 
 def hermitian_operator_basis_rows(d: int) -> sp.csr_matrix:
@@ -306,6 +342,101 @@ def _refine_pair(lr, lam_k, v, w, scale):
     return lam_new, v, w
 
 
+def _block_eig(sub):
+    """Sorted eigenvalues of one dense real block, their partners and packed eigenvectors.
+
+    The real eigensolver delivers exactly conjugate column pairs (a +- ib).
+    The packed REAL matrix holds a in the Im > 0 column and b in its
+    partner's, so that inverting it and recombining keeps real modes exactly
+    real and paired rows exactly conjugate, with no structure enforcement
+    that could break the pairing cancellations.  Partners are found within
+    a block, so that an exact degeneracy across blocks cannot pair vectors
+    with different supports.
+    """
+    try:
+        lam_b, v_b = sla.eig(sub)
+    except (sla.LinAlgError, ValueError) as exc:
+        raise NoConvergence(f"generator eigensolver failed: {exc}") from exc
+    order_b = _sort_order(lam_b)
+    lam_b = lam_b[order_b]
+    partners_b = _conjugate_partners(lam_b)
+    up = np.flatnonzero(lam_b.imag > 0)
+    packed = np.take(v_b.real, order_b, axis=1)  # C order: GEMM rounding depends on layout
+    packed[:, partners_b[up]] = v_b.imag[:, order_b[up]]
+    return lam_b, partners_b, packed
+
+
+def _paired_inverse(lam_b, partners_b, packed):
+    """Right columns, left rows and the 1-norms of the packed matrix and its inverse."""
+    if np.any((lam_b.imag != 0) & (partners_b == np.arange(lam_b.size))):
+        raise NoConvergence("unpaired complex eigenvalue from the real eigensolver")
+    up = np.flatnonzero(lam_b.imag > 0)
+    down = partners_b[up]
+    inverse, _ = refined_inverse(packed)
+    norms = float(np.linalg.norm(packed, 1)), float(np.linalg.norm(inverse, 1))
+    vr = packed.astype(complex)
+    a, b = packed[:, up], packed[:, down]
+    vr[:, up], vr[:, down] = a + 1j * b, a - 1j * b
+    wr = inverse.astype(complex)
+    a, b = inverse[up], inverse[down]
+    wr[up], wr[down] = (a - 1j * b) / 2, (a + 1j * b) / 2
+    return vr, wr, norms
+
+
+def _polish(blocks, modes, block_of, lam, scale):
+    """Polish the slow modes in place: they carry all downstream physics."""
+    sep_min = _REFINE_SEPARATION_FACTOR * scale
+    for k in range(min(REFINE_MODES, lam.size)):
+        pos = modes[block_of[k]]
+        _, sub, partners_b, vr, wr = blocks[block_of[k]]
+        kb = int(np.searchsorted(pos, k))
+        jb = partners_b[kb]
+        others = np.abs(lam - lam[k])
+        others[[k, pos[jb]]] = np.inf
+        if k > 0 and np.min(others) <= sep_min:
+            continue
+        out = _refine_pair(sub, complex(lam[k]), vr[:, kb], wr[kb], scale)
+        if out is None:
+            continue
+        lam_new, v_new, w_new = out
+        lam[k] = lam_new
+        vr[:, kb], wr[kb] = v_new, w_new
+        if jb != kb:
+            lam[pos[jb]] = np.conj(lam_new)
+            vr[:, jb], wr[jb] = v_new.conj(), w_new.conj()
+
+
+def _pack_block(lam_b, pos, w_rows, v_cols, support, d):
+    """One block's coordinate gather and its ``(lam, left, right, peak)`` units.
+
+    ``w_rows`` and ``v_cols`` are the block's left rows and right columns
+    over its support, where position ``a + b d`` is entry ``[a, b]`` of r_k
+    and entry ``[b, a]`` of l_k; see ``HermitianModes`` for the layout.
+    """
+    a, b = support % d, support // d
+    lo, dg = np.flatnonzero(a > b), np.flatnonzero(a == b)
+    up = np.searchsorted(support, b[lo] + a[lo] * d)  # the transposed positions
+    flat = a * d + b  # C-order index of X[a, b]
+    coordinates = np.concatenate([2 * flat[lo], 2 * flat[dg], 2 * flat[lo] + 1])
+    units = np.flatnonzero((lam_b.imag >= 0) & (pos != 0))
+    lam_u = lam_b[units]
+    r_lo, r_up, r_d = (v_cols[np.ix_(idx, units)].T for idx in (lo, up, dg))
+    herm, skew = r_lo + r_up.conj(), r_lo - r_up.conj()  # lower entries of r +- r^H
+    right = np.empty((units.size, 2, support.size))
+    right[:, 0] = np.hstack([herm.real, 2 * r_d.real, herm.imag])
+    right[:, 1] = np.hstack([-skew.imag, -2 * r_d.imag, skew.real])
+    right[lam_u.imag == 0] /= 2
+    # Tr(l X) = sum over a > b of x_re (l[b, a] + l[a, b]) + i x_im (l[b, a] - l[a, b]),
+    # plus the diagonal l[a, a] x_d
+    l_ba, l_ab = w_rows[np.ix_(units, lo)], w_rows[np.ix_(units, up)]
+    row = np.hstack([l_ba + l_ab, w_rows[np.ix_(units, dg)], 1j * (l_ba - l_ab)])
+    left = np.stack([row.real, row.imag], axis=1)
+    peak = np.abs(np.hstack([r_lo, r_up, r_d])).max(axis=1, initial=0.0)
+    peak[lam_u.imag != 0] *= 2
+    return coordinates, (lam_u, left.reshape(-1, support.size),
+                         right.reshape(-1, support.size), peak)
+
+
 def decompose(
     sup: Superoperator,
     *,
@@ -329,12 +460,13 @@ def decompose(
     eigensolve runs on the block's own n_b x n_b arrays: packing and packed
     inverse, conjugate recombination, slow-mode polish, pairing normalization
     and balancing, the map back through the block's slice of the basis, the
-    phase convention and the biorthonormality product.  Only the final mode
-    arrays are full size; they are filled block by block, and the modes of
-    all blocks are merged into one sorted spectrum.  At N=40 the dicke
-    generator splits into blocks of 841 and 840; the all-to-all generator is
-    one block of 1681.  The result keeps a reference to ``sup.matrix`` as
-    ``generator``.
+    phase convention, the biorthonormality product and the packed rows of
+    ``HermitianModes``, which are the only mode storage of the result; the
+    block's dense arrays are released before the next block's are made, and
+    no m x d x d array is formed.  The modes of all blocks are merged into
+    one sorted spectrum.  At N=40 the dicke generator splits into blocks of
+    841 and 840; the all-to-all generator is one block of 1681.  The result
+    keeps a reference to ``sup.matrix`` as ``generator``.
 
     Violated assumptions raise ``ComplexSlowMode`` or ``DegenerateSlowMode``
     with the finished decomposition attached.  A degenerate zero eigenvalue
@@ -361,17 +493,12 @@ def decompose(
     lr = lr.real
     lr.eliminate_zeros()
 
-    # (basis rows, dense block of lr, sorted eigenvalues, eigenvectors) per block
+    # (basis rows, dense block of lr, sorted eigenvalues, partners, packed eigenvectors)
     blocks = []
     for rows in _blocks(lr, basis):
         sub = lr[rows][:, rows].toarray()
-        try:
-            lam_b, v_b = sla.eig(sub)
-        except (sla.LinAlgError, ValueError) as exc:
-            raise NoConvergence(f"generator eigensolver failed: {exc}") from exc
-        order_b = _sort_order(lam_b)
-        blocks.append((rows, sub, lam_b[order_b], np.asarray(v_b, dtype=complex)[:, order_b]))
-    del lr
+        blocks.append((rows, sub, *_block_eig(sub)))
+    del lr, sub
 
     # the stable global sort keeps each block's modes in their block order,
     # so modes[b] lists block b's global mode indices in its own order
@@ -394,33 +521,17 @@ def decompose(
             eigenvalues=lam,
         )
 
-    # The real eigensolver delivers exactly conjugate column pairs (a +- ib).
-    # Inverting the packed REAL matrix [.., a, b, ..] and recombining keeps
-    # real modes exactly real and paired rows exactly conjugate, with no
-    # structure enforcement that could break the pairing cancellations.
-    # Partners are found within a block, so that an exact degeneracy across
-    # blocks cannot pair vectors with different supports.  From here on each
-    # block holds (rows, dense block, partners, right columns, left rows) in
-    # its own mode order.
+    # From here on each block holds (rows, dense block, partners, right
+    # columns, left rows) in its own mode order.
     norm_v = norm_w = 0.0
-    for i, ((rows, sub, lam_b, v_b), pos) in enumerate(zip(blocks, modes)):
-        partners_b = _conjugate_partners(lam_b)
-        if np.any((lam_b.imag != 0) & (partners_b == np.arange(lam_b.size))):
-            raise NoConvergence("unpaired complex eigenvalue from the real eigensolver")
+    for i, pos in enumerate(modes):
+        rows, sub, lam_b, partners_b, packed = blocks[i]
+        vr, wr, (nv, nw) = _paired_inverse(lam_b, partners_b, packed)
+        del packed
         up = np.flatnonzero(lam_b.imag > 0)
-        down = partners_b[up]
-        packed = v_b.real.copy()
-        packed[:, down] = v_b.imag[:, up]
-        inverse, _ = refined_inverse(packed)
+        lam[pos[partners_b[up]]] = np.conj(lam[pos[up]])
         # the 1-norm of a block-diagonal matrix is the largest of its blocks'
-        norm_v = max(norm_v, float(np.linalg.norm(packed, 1)))
-        norm_w = max(norm_w, float(np.linalg.norm(inverse, 1)))
-        vr, wr = packed.astype(complex), inverse.astype(complex)
-        a, b = packed[:, up], packed[:, down]
-        vr[:, up], vr[:, down] = a + 1j * b, a - 1j * b
-        wa, wb = inverse[up], inverse[down]
-        wr[up], wr[down] = (wa - 1j * wb) / 2, (wa + 1j * wb) / 2
-        lam[pos[down]] = np.conj(lam[pos[up]])
+        norm_v, norm_w = max(norm_v, nv), max(norm_w, nw)
         blocks[i] = (rows, sub, partners_b, vr, wr)
     cond = norm_v * norm_w
     if cond > CONDITION_WARN_THRESHOLD:
@@ -431,44 +542,30 @@ def decompose(
             stacklevel=2,
         )
 
-    # polish the slow modes: they carry all downstream physics
-    sep_min = _REFINE_SEPARATION_FACTOR * scale
-    for k in range(min(REFINE_MODES, m)):
-        pos = modes[block_of[k]]
-        _, sub, partners_b, vr, wr = blocks[block_of[k]]
-        kb = int(np.searchsorted(pos, k))
-        jb = partners_b[kb]
-        others = np.abs(lam - lam[k])
-        others[[k, pos[jb]]] = np.inf
-        if k > 0 and np.min(others) <= sep_min:
-            continue
-        out = _refine_pair(sub, complex(lam[k]), vr[:, kb], wr[kb], scale)
-        if out is None:
-            continue
-        lam_new, v_new, w_new = out
-        lam[k] = lam_new
-        vr[:, kb], wr[kb] = v_new, w_new
-        if jb != kb:
-            lam[pos[jb]] = np.conj(lam_new)
-            vr[:, jb], wr[jb] = v_new.conj(), w_new.conj()
+    _polish(blocks, modes, block_of, lam, scale)
+    # the dense blocks are done with: drop them before any block is mapped back
+    blocks = [(rows, partners_b, vr, wr) for rows, _, partners_b, vr, wr in blocks]
+    del sub, vr, wr
 
-    # left mode of the zero eigenvalue is the identity, exactly.  Mode 0 is the
-    # first of its block, and the identity lies in that block: each block's
-    # share of it is a left null vector, and the zero eigenvalue is simple.
-    rows, _, _, vr, wr = blocks[block_of[0]]
-    wr[0] = (basis.conj() @ vec(np.eye(d, dtype=complex)))[rows]
-    tr_r1 = wr[0] @ vr[:, 0]
-    if abs(tr_r1) < 1e-14:
-        raise NoConvergence("stationary candidate has numerically zero trace")
-    vr[:, 0] /= tr_r1
-
-    left_modes = np.zeros((m, d, d), dtype=complex)
-    right_modes = np.zeros((m, d, d), dtype=complex)
+    leading_left = np.zeros((2, d, d), dtype=complex)
+    stationary = np.zeros((d, d), dtype=complex)
     biorth = 0.0
-    mode_blocks = []
-    for (rows, _, partners_b, vr, wr), pos in zip(blocks, modes):
+    mode_blocks, coordinates, units = [], [], []
+    for i, pos in enumerate(modes):
+        rows, partners_b, vr, wr = blocks[i]
+        blocks[i] = None
         local = np.arange(pos.size)
         first = int(pos[0] == 0)  # the stationary mode keeps its normalization
+        if first:
+            # left mode of the zero eigenvalue is the identity, exactly.  Mode
+            # 0 is the first of its block, and the identity lies in that
+            # block: each block's share of it is a left null vector, and the
+            # zero eigenvalue is simple.
+            wr[0] = (basis.conj() @ vec(np.eye(d, dtype=complex)))[rows]
+            tr_r1 = wr[0] @ vr[:, 0]
+            if abs(tr_r1) < 1e-14:
+                raise NoConvergence("stationary candidate has numerically zero trace")
+            vr[:, 0] /= tr_r1
 
         # pairing normalization Tr(l_k r_k) = 1, then balance the mode norms
         w, v = wr[first:], vr[:, first:]
@@ -487,6 +584,7 @@ def decompose(
         block_basis = block_basis[:, support]
         v_cols = block_basis.T @ vr
         w_rows = wr @ block_basis.conj()
+        del w, v, vr, wr
 
         # deterministic per-mode phase: the first largest-modulus entry of l_k
         # real positive (sign-only for real modes, preserving exact
@@ -513,17 +611,21 @@ def decompose(
         pairing = w_rows[keep] @ v_cols
         pairing[np.arange(keep.size), keep] -= 1.0
         biorth = max(biorth, float(np.max(np.abs(pairing))))
+        del pairing
 
-        # l_k = unvec(w_k).T is the C-order reshape of the pairing row, so
-        # its flat index is the support position i + j d; r_k is transposed
-        left_modes.reshape(m, m)[np.ix_(pos, support)] = w_rows
-        right_modes.reshape(m, m)[np.ix_(pos, (support % d) * d + support // d)] = v_cols.T
+        # l_k = unvec(w_k).T is the C-order reshape of its pairing row, so its
+        # flat index is the support position i + j d; r_k is transposed
+        for k in np.intersect1d(pos, [0, 1]):
+            leading_left[k].reshape(-1)[support] = w_rows[np.searchsorted(pos, k)]
+        if first:
+            stationary.reshape(-1)[(support % d) * d + support // d] = v_cols[:, 0]
+        block_coordinates, block_units = _pack_block(lam[pos], pos, w_rows, v_cols, support, d)
+        coordinates.append(block_coordinates)
+        units.append(block_units)
         mode_blocks.append((pos, support))
-    del blocks
+        del v_cols, w_rows  # release this block's dense arrays before the next block's
 
-    stationary = right_modes[0]
     stationary = (stationary + stationary.conj().T) / 2
-    right_modes[0] = stationary
     min_eig = float(np.min(np.linalg.eigvalsh(stationary)))
 
     lam2, lam3 = lam[1], lam[2]
@@ -549,8 +651,8 @@ def decompose(
     )
     dec = SpectralDecomposition(
         eigenvalues=lam,
-        right_modes=right_modes,
-        left_modes=left_modes,
+        packed=HermitianModes.assemble(coordinates, units, stationary),
+        leading_left=leading_left,
         blocks=tuple(mode_blocks),
         stationary_state=stationary,
         tau=tau,
@@ -579,7 +681,7 @@ def hermitize_slow_mode(dec: SpectralDecomposition) -> np.ndarray:
     """
     if not dec.diagnostics.flags.clean:
         raise ValueError("slow mode is only meaningful when assumption flags are clean")
-    ell2 = dec.left_modes[1]
+    ell2 = dec.leading_left[1]
     scale = max(max_abs(ell2), 1e-300)
     defect = float(np.max(np.abs(ell2 - ell2.conj().T)))
     if defect > SLOW_MODE_HERM_TOL * scale:

@@ -94,3 +94,26 @@ def test_overlap_scan_reaches_slow_mode_spectrum(workloads, monkeypatch, dicke4)
     spectra = _count_calls(workloads, monkeypatch, "mpemba.slow_mode_spectrum")
     qmpemba.overlap_scan(dec, qmpemba.random_pure_state(4, 1), np.linspace(0.0, 1.0, 5))
     assert len(spectra) == 1
+
+
+def test_state_gate_reads_the_slow_mode_once(workloads, monkeypatch):
+    # check_state reads dec.left_modes[1] for its residual gate: it must be
+    # bitwise the l2 that the rotation is built from, and the full array
+    # behind it must be expanded once per decomposition, not once per state
+    model = qmpemba.dicke_model(DICKE_REF, 4)
+    dec = qmpemba.decompose(qmpemba.build_liouvillian(model))
+    expansions = []
+    full_modes = spectral._full_modes
+
+    def counted(*args, **kwargs):
+        expansions.append(1)
+        return full_modes(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_full_modes", counted)
+    for seed in (1, 2):
+        assert not workloads.check_state(model, dec, qmpemba.random_pure_state(4, seed)).failed
+    assert len(expansions) == 1
+    ell2 = dec.leading_left[1]
+    assert dec.left_modes[1].tobytes() == ell2.tobytes()
+    assert np.array_equal(qmpemba.hermitize_slow_mode(dec), (ell2 + ell2.conj().T) / 2)
+    assert dec.left_modes is dec.left_modes

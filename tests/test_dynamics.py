@@ -44,6 +44,28 @@ from qmpemba.errors import (
 RNG = np.random.default_rng(20240505)
 
 
+def _with_right_mode(dec, k, r):
+    """A copy of ``dec`` whose packed unit of mode k (a real mode or Im > 0) holds ``r``.
+
+    The unit's two rows become the coordinates of ``r + r^H`` and
+    ``i (r - r^H)``, halved for a real mode, and its peak ``max|r|``, doubled
+    for a pair, as ``HermitianModes`` lays them out.
+    """
+    plan, lam = dec.packed, dec.eigenvalues
+    b = next(b for b, (modes, _) in enumerate(dec.blocks) if k in modes)
+    modes = dec.blocks[b][0]
+    u = int(np.flatnonzero(modes[(lam[modes].imag >= 0) & (modes != 0)] == k)[0])
+    coords, lam_u, left, right, peak = plan.blocks[b]
+    right, peak = right.copy(), peak.copy()
+    real = lam[k].imag == 0
+    for row, h in enumerate((r + r.conj().T, 1j * (r - r.conj().T))):
+        right[2 * u + row] = h.view(float).ravel()[plan.coordinates[coords]] / (2 if real else 1)
+    peak[u] = np.max(np.abs(r)) * (1 if real else 2)
+    blocks = list(plan.blocks)
+    blocks[b] = (coords, lam_u, left, right, peak)
+    return replace(dec, packed=replace(plan, blocks=tuple(blocks)))
+
+
 class TestTimeGrid:
     def test_linear(self):
         grid = TimeGrid.linear(0.0, 2.0, 5)
@@ -316,9 +338,7 @@ class TestHybridTrajectory:
         shape = np.zeros((d, d), dtype=complex)
         shape[0, 0], shape[1, 1] = 1.0, -1.0
         shape[0, 1] = shape[1, 0] = 1j
-        right = dec.right_modes.copy()
-        right[k] += self.DEFECT * shape / coeff
-        perturbed = replace(dec, right_modes=right)
+        perturbed = _with_right_mode(dec, k, dec.right_modes[k] + self.DEFECT * shape / coeff)
         grid = TimeGrid.linear(0.0, 12.0 / abs(dec.eigenvalues[k].real), 49)
 
         with mock.patch.object(dynamics, "_record", wraps=dynamics._record) as record:
@@ -482,7 +502,7 @@ class TestHermitianModes:
             dec = exc.decomposition
         assume(dec is not None)  # no unique stationary state
         lam = dec.eigenvalues
-        plan = dec.hermitian_modes
+        plan = dec.packed
         for (modes, support), (coords, units, left, right, peak) in zip(dec.blocks, plan.blocks):
             assert coords.stop - coords.start == support.size
             assert np.array_equal(units, lam[modes[(lam[modes].imag >= 0) & (modes != 0)]])
@@ -515,15 +535,20 @@ class TestHermitianModes:
         _, dec = all_to_all6
         rho0 = random_density(dec.dim, RNG)
         grid = TimeGrid.linear(0.0, 3.0 * dec.tau, 41)
-        states = evolve_spectral_grid(dec, rho0, grid)  # builds and keeps dec's packed modes
-        right = dec.right_modes.copy()
-        right[1:] *= 2
-        doubled = replace(dec, right_modes=right)
-        assert doubled.hermitian_modes is not dec.hermitian_modes
+        states = evolve_spectral_grid(dec, rho0, grid)
+        full = dec.right_modes  # expanded and kept
+        plan = dec.packed
+        doubled = replace(dec, packed=replace(plan, blocks=tuple(
+            (coords, lam, left, 2 * right, 2 * peak)
+            for coords, lam, left, right, peak in plan.blocks
+        )))
         got = evolve_spectral_grid(doubled, rho0, grid)
         expected = 2 * states - np.trace(rho0).real * dec.stationary_state
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
-        assert dec.hermitian_modes is dec.hermitian_modes  # kept, not rebuilt
+        # the copy expands its own packed form, not the kept arrays of dec
+        assert np.array_equal(doubled.right_modes[1:], 2 * full[1:])
+        assert np.array_equal(doubled.right_modes[0], dec.stationary_state)
+        assert dec.right_modes is full  # kept, not rebuilt
 
 
 class TestHandoffDecision:

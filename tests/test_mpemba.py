@@ -230,9 +230,9 @@ class TestOptimalUnitary:
         rng = np.random.default_rng(0)
         q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
         alphas = np.array([3, 2, 2, 1, 1, 0.5, 0], dtype=complex)
-        left = dec.left_modes.copy()
-        left[1] = q @ np.diag(alphas) @ q.conj().T
-        planted = dataclasses.replace(dec, left_modes=left)
+        leading = dec.leading_left.copy()
+        leading[1] = q @ np.diag(alphas) @ q.conj().T
+        planted = dataclasses.replace(dec, leading_left=leading)
         psi = random_pure_state(d - 1, 0)
         rot = optimal_unitary(planted, psi)
         assert rot.branch == "permutation"
@@ -353,9 +353,9 @@ class TestBatchedScan:
         dec, psi, rng = self._random_case(d, n_jumps, planted, seed)
         q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
         alphas = np.concatenate([[0.0], rng.uniform(0.5, 2.0, size=d - 1)])
-        left = dec.left_modes.copy()
-        left[1] = q @ np.diag(alphas) @ q.conj().T
-        planted_dec = dataclasses.replace(dec, left_modes=left)
+        leading = dec.leading_left.copy()
+        leading[1] = q @ np.diag(alphas) @ q.conj().T
+        planted_dec = dataclasses.replace(dec, leading_left=leading)
         levels = slow_mode_spectrum(hermitize_slow_mode(planted_dec))
         assert levels.zero_branch
         with pytest.raises(ZeroBranch):

@@ -15,6 +15,7 @@ from conftest import (
     DICKE_REF,
     qubit_decay_model,
     random_density,
+    random_hermitian,
     random_lindblad_model,
 )
 
@@ -339,6 +340,92 @@ class TestStructure:
         assert dec.diagnostics.condition_estimate > CONDITION_WARN_THRESHOLD
 
 
+def _held_arrays(obj):
+    """Every ndarray that a decomposition's fields hold, through its packed form and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from _held_arrays(getattr(obj, field.name))
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _held_arrays(item)
+
+
+FULL_ARRAYS = {"left_modes", "right_modes"}
+
+
+class TestStorage:
+    """A decomposition stores its modes packed: no array the size of m x d x d complex."""
+
+    def _assert_packed_only(self, dec):
+        m, d = dec.eigenvalues.size, dec.dim
+        assert not FULL_ARRAYS & vars(dec).keys()
+        assert max(a.nbytes for a in _held_arrays(dec)) < 16 * m * d * d
+
+    @pytest.mark.parametrize("name", ["dicke", "all-to-all"])
+    def test_reference_models_n20(self, name):
+        model = dicke_model(DICKE_REF, 20) if name == "dicke" else all_to_all_model(ALL_TO_ALL_REF, 20)
+        self._assert_packed_only(decompose(build_liouvillian(model)))
+
+    @settings(max_examples=30, deadline=None)
+    @random_models
+    def test_random_models(self, d, n_jumps, planted, seed):
+        dec, _ = _random_decomposition(d, n_jumps, planted, seed)
+        assume(dec is not None)
+        self._assert_packed_only(dec)
+
+    def test_library_paths_build_no_full_array(self):
+        from qmpemba import TimeGrid, optimal_unitary, overlap_scan, random_pure_state
+        from qmpemba import robust_trajectory
+
+        model = dicke_model(DICKE_REF, 6)
+        dec = decompose(build_liouvillian(model))
+        psi = random_pure_state(6, 2)
+        rot = optimal_unitary(dec, psi)
+        overlap_scan(dec, psi, np.linspace(0.0, np.pi / 2, 5))
+        for state in (psi, rot.unitary @ psi):
+            robust_trajectory(model, dec, np.outer(state, state.conj()),
+                              TimeGrid.linear(0.0, 4.0 * dec.tau, 41))
+        self._assert_packed_only(dec)
+
+    def test_reproduce_fig2_builds_no_full_array(self, tmp_path, monkeypatch):
+        from qmpemba import cli
+
+        made = []
+
+        def recording(*args, **kwargs):
+            made.append(decompose(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "decompose", recording)
+        assert cli.main(["reproduce", "fig2", "--n", "6", "--out", str(tmp_path)]) in (0, 1)
+        assert len(made) == 1
+        self._assert_packed_only(made[0])
+
+    def test_full_arrays_expand_the_packed_form(self, all_to_all6):
+        _, dec = all_to_all6
+        dec = dataclasses.replace(dec)  # a fresh copy: nothing expanded yet
+        left, right = dec.left_modes, dec.right_modes
+        assert dec.left_modes is left and dec.right_modes is right  # kept
+        assert left.shape == right.shape == (dec.eigenvalues.size, dec.dim, dec.dim)
+        assert np.array_equal(left[:2], dec.leading_left)
+        assert np.array_equal(right[0], dec.stationary_state)
+        # the expanded modes give back the packed right rows and coefficients
+        plan = dec.packed
+        x_h = random_hermitian(dec.dim, RNG)
+        for (modes, _), (coords, lam, l_rows, r_rows, _) in zip(dec.blocks, plan.blocks):
+            units = modes[(dec.eigenvalues[modes].imag >= 0) & (modes != 0)]
+            gather = plan.coordinates[coords]
+            for u, k in enumerate(units):
+                r, ell = right[k], left[k]
+                herm = (r + r.conj().T).view(float).ravel()[gather] / (2 if lam[u].imag == 0 else 1)
+                assert np.max(np.abs(r_rows[2 * u] - herm)) <= 1e-15 * np.max(np.abs(r))
+                packed = (l_rows[2 * u] + 1j * l_rows[2 * u + 1]) @ x_h.view(float).ravel()[gather]
+                full = np.einsum("ij,ji->", ell, x_h)
+                assert abs(packed - full) <= 1e-14 * np.sum(np.abs(ell)) * np.max(np.abs(x_h))
+
+
 class TestHermitizeSlowMode:
     def test_clean_input_unchanged(self, dicke6):
         _, dec = dicke6
@@ -347,11 +434,11 @@ class TestHermitizeSlowMode:
         assert np.array_equal(ell2, ell2.conj().T)
 
     def _doctored(self, dec, eps):
-        left = dec.left_modes.copy()
-        bump = np.zeros_like(left[1])
-        bump[0, -1] = eps * np.max(np.abs(left[1]))
-        left[1] = left[1] + (bump - bump.conj().T) / 2
-        return dataclasses.replace(dec, left_modes=left)
+        leading = dec.leading_left.copy()
+        bump = np.zeros_like(leading[1])
+        bump[0, -1] = eps * np.max(np.abs(leading[1]))
+        leading[1] = leading[1] + (bump - bump.conj().T) / 2
+        return dataclasses.replace(dec, leading_left=leading)
 
     def test_small_defect_symmetrized(self, dicke6):
         _, dec = dicke6
