@@ -339,19 +339,12 @@ def cmd_reproduce(figure: str, cfg: ExperimentConfig, out_dir: Path) -> int:
     t0 = time.monotonic()
     model, dec = _decompose(cfg)
     psi, rot, rows = _scan_outputs(dec, cfg)
-    lam = dec.eigenvalues
     rho_un = np.outer(psi, psi.conj())
     psi_rot = rot.unitary @ psi
     rho_rot = np.outer(psi_rot, psi_rot.conj())
-    if figure == "fig2":
-        grid_un = TimeGrid.linear(0.0, 16.0 / abs(lam[1].real), cfg.t_points)
-        grid_rot = TimeGrid.linear(0.0, 16.0 / abs(lam[2].real), cfg.t_points)
-    else:
-        shared = TimeGrid.geometric(
-            1e-2 / abs(lam[2].real), 16.0 / abs(lam[1].real),
-            cfg.t_points, include_zero=True,
-        )
-        grid_un = grid_rot = shared
+    grid_un = _trajectory_grid(cfg, dec, False)
+    # fig3 compares both trajectories on one shared grid
+    grid_rot = _trajectory_grid(cfg, dec, True) if figure == "fig2" else grid_un
     traj_un, fit_un, fit_un_info = _fitted_trajectory(
         model, dec, rho_un, grid_un, cfg.fit_window or FIT_WINDOW_UNROTATED)
     traj_rot, fit_rot, fit_rot_info = _fitted_trajectory(

@@ -23,11 +23,12 @@ matrix, so ``Tr(l_k r_h) = delta_kh`` holds to solver accuracy by
 construction.  The few slowest modes, which carry all the downstream physics,
 are additionally polished by shifted inverse iteration.
 
-Each block's modes are stored once, packed in real Hermitian coordinates on
-the block's support (``HermitianModes``): one unit per real mode or conjugate
-pair, written straight from the block's own arrays.  Full complex matrices
-are kept only for the identity, the slow left mode and the stationary state;
-the full mode arrays are expanded from the packed form on request.
+After one global sort, each block is finished in one pass on its own arrays
+and released before the next block's; its modes are stored once, packed in
+real Hermitian coordinates on its support (``HermitianModes``), one unit per
+real mode or conjugate pair.  Full complex matrices are kept only for the
+identity, the slow left mode and the stationary state; the full mode arrays
+are expanded from the packed form on request.
 """
 
 from __future__ import annotations
@@ -383,13 +384,11 @@ def _paired_inverse(lam_b, partners_b, packed):
     return vr, wr, norms
 
 
-def _polish(blocks, modes, block_of, lam, scale):
-    """Polish the slow modes in place: they carry all downstream physics."""
+def _polish(sub, pos, partners_b, vr, wr, lam, scale):
+    """Polish the block's modes ``pos < REFINE_MODES`` in place: they carry all the physics."""
     sep_min = _REFINE_SEPARATION_FACTOR * scale
-    for k in range(min(REFINE_MODES, lam.size)):
-        pos = modes[block_of[k]]
-        _, sub, partners_b, vr, wr = blocks[block_of[k]]
-        kb = int(np.searchsorted(pos, k))
+    for kb in range(int(np.searchsorted(pos, REFINE_MODES))):
+        k = pos[kb]
         jb = partners_b[kb]
         others = np.abs(lam - lam[k])
         others[[k, pos[jb]]] = np.inf
@@ -456,17 +455,18 @@ def decompose(
     map of :func:`hermitian_operator_basis_rows`, where it is real and stays
     sparse; a generator that does not preserve Hermiticity raises
     ``NotHermitian``.  Each connected block of the real matrix (its nonzero
-    pattern as a graph) is densified on its own, and every step after its
-    eigensolve runs on the block's own n_b x n_b arrays: packing and packed
-    inverse, conjugate recombination, slow-mode polish, pairing normalization
-    and balancing, the map back through the block's slice of the basis, the
+    pattern as a graph) is densified and eigensolved on its own, and the
+    eigenvalues of all blocks are merged into one sorted spectrum.  Then
+    each block is finished in one pass on its own n_b x n_b arrays: packed
+    inverse and conjugate recombination, polish of the block's slow modes,
+    the identity row and trace normalization, pairing normalization and
+    balancing, the map back through the block's slice of the basis, the
     phase convention, the biorthonormality product and the packed rows of
-    ``HermitianModes``, which are the only mode storage of the result; the
+    ``HermitianModes``, which are the only mode storage of the result.  The
     block's dense arrays are released before the next block's are made, and
-    no m x d x d array is formed.  The modes of all blocks are merged into
-    one sorted spectrum.  At N=40 the dicke generator splits into blocks of
-    841 and 840; the all-to-all generator is one block of 1681.  The result
-    keeps a reference to ``sup.matrix`` as ``generator``.
+    no m x d x d array is formed.  At N=40 the dicke generator splits into
+    blocks of 841 and 840; the all-to-all generator is one block of 1681.
+    The result keeps a reference to ``sup.matrix`` as ``generator``.
 
     Violated assumptions raise ``ComplexSlowMode`` or ``DegenerateSlowMode``
     with the finished decomposition attached.  A degenerate zero eigenvalue
@@ -521,39 +521,21 @@ def decompose(
             eigenvalues=lam,
         )
 
-    # From here on each block holds (rows, dense block, partners, right
-    # columns, left rows) in its own mode order.
-    norm_v = norm_w = 0.0
-    for i, pos in enumerate(modes):
-        rows, sub, lam_b, partners_b, packed = blocks[i]
-        vr, wr, (nv, nw) = _paired_inverse(lam_b, partners_b, packed)
-        del packed
-        up = np.flatnonzero(lam_b.imag > 0)
-        lam[pos[partners_b[up]]] = np.conj(lam[pos[up]])
-        # the 1-norm of a block-diagonal matrix is the largest of its blocks'
-        norm_v, norm_w = max(norm_v, nv), max(norm_w, nw)
-        blocks[i] = (rows, sub, partners_b, vr, wr)
-    cond = norm_v * norm_w
-    if cond > CONDITION_WARN_THRESHOLD:
-        warnings.warn(
-            f"generator eigenbasis condition estimate {cond:.2e} exceeds "
-            f"{CONDITION_WARN_THRESHOLD:.0e}; pairing accuracy is limited",
-            IllConditionedBasis,
-            stacklevel=2,
-        )
-
-    _polish(blocks, modes, block_of, lam, scale)
-    # the dense blocks are done with: drop them before any block is mapped back
-    blocks = [(rows, partners_b, vr, wr) for rows, _, partners_b, vr, wr in blocks]
-    del sub, vr, wr
-
+    # each block runs the whole chain on its own arrays, and every dense
+    # array of a block is released before the next block's are made
+    norm_v = norm_w = biorth = 0.0
     leading_left = np.zeros((2, d, d), dtype=complex)
     stationary = np.zeros((d, d), dtype=complex)
-    biorth = 0.0
     mode_blocks, coordinates, units = [], [], []
     for i, pos in enumerate(modes):
-        rows, partners_b, vr, wr = blocks[i]
+        rows, sub, lam_b, partners_b, packed = blocks[i]
         blocks[i] = None
+        vr, wr, (nv, nw) = _paired_inverse(lam_b, partners_b, packed)
+        del packed
+        # the 1-norm of a block-diagonal matrix is the largest of its blocks'
+        norm_v, norm_w = max(norm_v, nv), max(norm_w, nw)
+        _polish(sub, pos, partners_b, vr, wr, lam, scale)
+        del sub
         local = np.arange(pos.size)
         first = int(pos[0] == 0)  # the stationary mode keeps its normalization
         if first:
@@ -623,7 +605,16 @@ def decompose(
         coordinates.append(block_coordinates)
         units.append(block_units)
         mode_blocks.append((pos, support))
-        del v_cols, w_rows  # release this block's dense arrays before the next block's
+        del v_cols, w_rows
+
+    cond = norm_v * norm_w
+    if cond > CONDITION_WARN_THRESHOLD:
+        warnings.warn(
+            f"generator eigenbasis condition estimate {cond:.2e} exceeds "
+            f"{CONDITION_WARN_THRESHOLD:.0e}; pairing accuracy is limited",
+            IllConditionedBasis,
+            stacklevel=2,
+        )
 
     stationary = (stationary + stationary.conj().T) / 2
     min_eig = float(np.min(np.linalg.eigvalsh(stationary)))
@@ -690,14 +681,3 @@ def hermitize_slow_mode(dec: SpectralDecomposition) -> np.ndarray:
             f"(> {SLOW_MODE_HERM_TOL:.0e} * max|l_2| = {SLOW_MODE_HERM_TOL * scale:.3e})"
         )
     return (ell2 + ell2.conj().T) / 2
-
-
-def conjugation_closure_residual(eigenvalues: np.ndarray, tol_imag: float) -> float:
-    """max over complex eigenvalues of the distance to the nearest conjugate."""
-    lam = np.asarray(eigenvalues)
-    worst = 0.0
-    for k in range(lam.size):
-        if abs(lam[k].imag) <= tol_imag:
-            continue
-        worst = max(worst, float(np.min(np.abs(lam - np.conj(lam[k])))))
-    return worst

@@ -38,6 +38,17 @@ def random_hermitian(d: int, rng) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
+def conjugation_closure_residual(eigenvalues: np.ndarray, tol_imag: float) -> float:
+    """max over complex eigenvalues of the distance to the nearest conjugate."""
+    lam = np.asarray(eigenvalues)
+    worst = 0.0
+    for k in range(lam.size):
+        if abs(lam[k].imag) <= tol_imag:
+            continue
+        worst = max(worst, float(np.min(np.abs(lam - np.conj(lam[k])))))
+    return worst
+
+
 def random_lindblad_model(d: int, n_jumps: int, rng, planted: bool = False) -> LindbladModel:
     """Dense random jumps and Hamiltonian, or with planted parity of i - j.
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ALL_TO_ALL_REF, DICKE_REF, qubit_decay_model
+from conftest import ALL_TO_ALL_REF, DICKE_REF, conjugation_closure_residual, qubit_decay_model
 
 import qmpemba
 from qmpemba import (
@@ -38,7 +38,6 @@ from qmpemba import (
     robust_trajectory,
 )
 from qmpemba.dynamics import FIT_WINDOW_ROTATED, FIT_WINDOW_UNROTATED
-from qmpemba.spectral import conjugation_closure_residual
 
 RNG = np.random.default_rng(20240506)
 
@@ -142,8 +141,8 @@ def test_criterion_3_orthogonality_postcondition(both40):
     worst_res, worst_uni = 0.0, 0.0
     ok = True
     for name, (model, dec) in both40.items():
-        scale = float(np.max(np.abs(dec.left_modes[1])))
-        ell2 = dec.left_modes[1]
+        scale = float(np.max(np.abs(dec.leading_left[1])))
+        ell2 = dec.leading_left[1]
         for seed in range(100):
             psi = random_pure_state(40, seed)
             rot = optimal_unitary(dec, psi)

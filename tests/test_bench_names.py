@@ -12,6 +12,7 @@ the calls that one library call makes through the rebound names.
 from __future__ import annotations
 
 import importlib
+import types
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,38 @@ def _count_calls(workloads, monkeypatch, span):
 
             monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def _count_kernel(workloads, monkeypatch, attr):
+    """Count the calls that ``spectral`` makes to ``sla.<attr>``, one of the ``KERNELS``.
+
+    Like the benchmark, this rebinds ``spectral.sla`` to a namespace that
+    holds the wrapped kernel.
+    """
+    assert attr in {a for _, a in workloads.KERNELS}
+    if not isinstance(spectral.sla, types.SimpleNamespace):
+        monkeypatch.setattr(spectral, "sla", types.SimpleNamespace(**vars(spectral.sla)))
+    calls = []
+    real = getattr(spectral.sla, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    setattr(spectral.sla, attr, counted)
+    return calls
+
+
+def test_decompose_reaches_its_spans(workloads, monkeypatch):
+    # one eigensolve and one inverse per block, and one LU factorization per
+    # polished mode, of which there is at least the stationary one
+    eig = _count_kernel(workloads, monkeypatch, "eig")
+    lu = _count_kernel(workloads, monkeypatch, "lu_factor")
+    inverse = _count_calls(workloads, monkeypatch, "linalg.refined_inverse")
+    dec = qmpemba.decompose(qmpemba.build_liouvillian(qmpemba.dicke_model(DICKE_REF, 4)))
+    assert len(dec.blocks) == 2
+    assert len(eig) == len(inverse) == 2
+    assert 1 <= len(lu) <= spectral.REFINE_MODES
 
 
 @pytest.fixture(scope="module")

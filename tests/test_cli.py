@@ -217,6 +217,16 @@ class TestReproduceCommand:
         assert checks["scan_matches_two_level_law"]
         assert checks["scan_endpoints"]
 
+    def test_config_grid_bound_is_used(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("t_max = 50\n")
+        out = tmp_path / "run"
+        code = main(["reproduce", "fig2", "--n", "4", "--config", str(config), "--out", str(out)])
+        assert code in (0, 1)
+        for name in ("trajectory_unrotated.csv", "trajectory_rotated.csv"):
+            _, data = read_csv(out / "fig2" / name)
+            assert data[-1, 0] == 50.0
+
 
 def _no_convergence(*args, **kwargs):
     raise NoConvergence("trajectory forced to fail")
