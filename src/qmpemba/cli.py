@@ -29,6 +29,7 @@ from .dynamics import (
     FIT_WINDOW_UNROTATED,
     TimeGrid,
     fit_decay_rate,
+    fit_start,
     find_plateau,
     robust_trajectory,
 )
@@ -239,10 +240,19 @@ def _trajectory_grid(cfg: ExperimentConfig, dec, rotated: bool) -> TimeGrid:
         raise ConfigError(f"invalid time grid (t_min, t_max, t_points): {exc}") from exc
 
 
-def _fitted_trajectory(model, dec, rho0, grid, window):
+def _fitted_trajectory(model, dec, rho0, grid, window, slow):
+    """The trajectory and its decay fit over the grid points from ``fit_start`` on.
+
+    ``slow`` is the mode whose rate the fit measures: 1 (lambda_2) for a
+    plain state, 2 (lambda_3) for a rotated one.
+    """
     traj = robust_trajectory(model, dec, rho0, grid)
+    start = fit_start(dec, rho0, grid, slow)
     try:
-        fit = fit_decay_rate(traj.times, traj.distances, window)
+        if start is None:
+            raise WindowEmpty(f"mode {slow + 1} never dominates the rest of the mode sum")
+        first = int(np.searchsorted(traj.times, start))
+        fit = fit_decay_rate(traj.times[first:], traj.distances[first:], window)
         fit_info = {
             "rate": fit.rate, "r_squared": fit.r_squared,
             "window": list(fit.window), "t_start": fit.t_start,
@@ -250,7 +260,8 @@ def _fitted_trajectory(model, dec, rho0, grid, window):
         }
     except WindowEmpty as exc:
         fit, fit_info = None, {"error": str(exc)}
-    fit_info = {"source": traj.source, "handoff_time": traj.handoff_time, **fit_info}
+    fit_info = {"source": traj.source, "handoff_time": traj.handoff_time,
+                "fit_start": start, **fit_info}
     return traj, fit, fit_info
 
 
@@ -270,7 +281,7 @@ def cmd_evolve(cfg: ExperimentConfig, out_dir: Path, rotated: bool) -> int:
     rho0 = np.outer(psi, psi.conj())
     grid = _trajectory_grid(cfg, dec, rotated)
     window = cfg.fit_window or (FIT_WINDOW_ROTATED if rotated else FIT_WINDOW_UNROTATED)
-    traj, _, fit_info = _fitted_trajectory(model, dec, rho0, grid, window)
+    traj, _, fit_info = _fitted_trajectory(model, dec, rho0, grid, window, 2 if rotated else 1)
     name = f"trajectory_{'rotated' if rotated else 'unrotated'}.csv"
     _write_csv(out_dir / name, ("t", "distance", "abs_slow_overlap"),
                _trajectory_rows(traj))
@@ -346,9 +357,9 @@ def cmd_reproduce(figure: str, cfg: ExperimentConfig, out_dir: Path) -> int:
     # fig3 compares both trajectories on one shared grid
     grid_rot = _trajectory_grid(cfg, dec, True) if figure == "fig2" else grid_un
     traj_un, fit_un, fit_un_info = _fitted_trajectory(
-        model, dec, rho_un, grid_un, cfg.fit_window or FIT_WINDOW_UNROTATED)
+        model, dec, rho_un, grid_un, cfg.fit_window or FIT_WINDOW_UNROTATED, 1)
     traj_rot, fit_rot, fit_rot_info = _fitted_trajectory(
-        model, dec, rho_rot, grid_rot, cfg.fit_window or FIT_WINDOW_ROTATED)
+        model, dec, rho_rot, grid_rot, cfg.fit_window or FIT_WINDOW_ROTATED, 2)
 
     _write_csv(out_dir / "spectrum.csv", ("k", "re_lambda", "im_lambda"),
                _spectrum_rows(dec.eigenvalues))

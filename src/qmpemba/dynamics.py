@@ -7,10 +7,14 @@ take over at t=0 only when an a-priori bound certifies it there as well.  It
 runs in real Hermitian coordinates, block by block: one real product per
 block and chunk of grid times, over one unit per real mode or conjugate pair
 and only over the units whose terms are not yet below the rounding floor of
-the full sum, and one gather that expands the coordinates into exactly
-Hermitian states.  A fixed-step fourth-order Runge-Kutta integrator, written
-directly with the model operators, never touches either route and is kept as
-the independent test oracle for both.
+the full sum.  A trajectory stays in those coordinates: one real row of
+``rho(t) - rho_ss`` per grid time, from which the distances and the slow
+overlaps are reduced without forming any state; ``evolve_spectral_grid``
+expands the same rows into exactly Hermitian states.  Decay fits start where
+the slow mode's term dominates the rest of the mode sum (``fit_start``).  A
+fixed-step fourth-order Runge-Kutta integrator, written directly with the
+model operators, never touches either route and is kept as the independent
+test oracle for both.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ AGREEMENT_TOL = 1e-6
 FIT_WINDOW_UNROTATED = (1e-1, 1e-4)
 FIT_WINDOW_ROTATED = (1e-2, 1e-6)
 FIT_R2_FLOOR = 0.99
+FIT_START_FRACTION = 1e-2  # the rest of the mode sum over the slow term, at the fit's start
 
 _MODE_SUM_CHUNK = 32  # grid times per mode-sum product
 _DISTANCE_CHUNK = 32  # stack entries per scratch buffer of hs_distance
@@ -110,46 +115,48 @@ def _check_density(rho, d: int, tol: float = 1e-10) -> np.ndarray:
 def evolve_spectral_grid(dec: SpectralDecomposition, rho0, grid: TimeGrid) -> np.ndarray:
     """Stack of states at all grid times, summed block by block in real Hermitian coordinates.
 
-    Sums ``r_1 + sum_k exp(t lam_k) Tr(l_k rho0) r_k`` on the packed modes of
-    ``dec.packed``.  A unit, a real mode or a conjugate pair, has
-    the coefficient ``z = c e^{lam t} = P + iQ``, and the float view of a
-    chunk's coefficients meets each unit's two real rows (a real mode's Q is
-    0 and so is its second row).  So every block contributes one real product
-    per chunk of grid times, over the prefix of its units that
-    ``_active_prefix`` counts at the chunk's first time, and the stationary
-    term is added as it stands as the product is stored into the block's
-    slice of the coordinate buffer.  One ``take`` through ``expand`` turns
-    the chunk's coordinates into its states, exactly Hermitian by
-    construction.  Nothing is kept between calls.
+    The rows of ``_mode_sum_rows`` plus the stationary term
+    ``Tr(l_1 rho0) r_1``, expanded by ``HermitianModes.hermitian`` into
+    exactly Hermitian states.  Nothing is kept between calls.
     """
-    d = dec.dim
-    rho0 = _check_density(rho0, d)
+    rho0 = _check_density(rho0, dec.dim)
+    rows = _mode_sum_rows(dec, rho0, grid.points)
+    rows += _stationary_term(dec, rho0)
+    return dec.packed.hermitian(rows)
+
+
+def _stationary_term(dec: SpectralDecomposition, rho0: np.ndarray) -> np.ndarray:
+    return dec.packed.stationary * np.einsum("ij,ji->", dec.leading_left[0], rho0).real
+
+
+def _mode_sum_rows(dec: SpectralDecomposition, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Coordinates of ``rho(t) - Tr(rho0) rho_ss``, one row per time, for a checked ``rho0``.
+
+    Sums ``sum_{k>1} exp(t lam_k) Tr(l_k rho0) r_k`` on the packed modes of
+    ``dec.packed``, in its coordinate layout.  A unit, a real mode or a
+    conjugate pair, has the coefficient ``z = c e^{lam t} = P + iQ``, and the
+    float view of a chunk's coefficients meets each unit's two real rows (a
+    real mode's Q is 0 and so is its second row).  So every block writes one
+    real product per chunk of grid times straight into its slice of the
+    chunk's rows, over the prefix of its units that ``_active_prefix``
+    counts at the chunk's first time.
+    """
     plan = dec.packed
-    n = plan.coordinates.size
-    times = grid.points
     starts = times[::_MODE_SUM_CHUNK]
     terms = [
         (coords, lam, right, c, _active_prefix(weight, lam.real, starts))
         for (coords, lam, _, right, _), (c, weight) in zip(plan.blocks, _coefficients(dec, rho0))
     ]
-    stationary = plan.stationary * np.einsum("ij,ji->", dec.leading_left[0], rho0).real
-    states = np.empty((times.size, d, d), dtype=complex)
-    out = states.view(float).reshape(times.size, 2 * n)
-    buf = np.zeros((_MODE_SUM_CHUNK, 2 * n + 1))  # [x | -x | 0] per grid time
-    scratch = np.empty(_MODE_SUM_CHUNK * max(coords.stop - coords.start for coords, *_ in terms))
+    rows = np.empty((times.size, plan.coordinates.size))
     for k, start in enumerate(range(0, times.size, _MODE_SUM_CHUNK)):
         t = times[start : start + _MODE_SUM_CHUNK]
-        x = buf[: t.size]
         for coords, lam, right, c, prefix in terms:
             u = prefix[k]
             z = np.exp(np.outer(t, lam[:u]))
             z *= c[:u]
-            product = scratch[: t.size * (coords.stop - coords.start)].reshape(t.size, -1)
-            np.matmul(z.view(float), right[: 2 * u], out=product)  # zeros when u == 0
-            np.add(product, stationary[coords], out=x[:, coords])
-        np.negative(x[:, :n], out=x[:, n : 2 * n])
-        np.take(x, plan.expand, axis=1, out=out[start : start + t.size], mode="clip")
-    return states
+            # zeros when u == 0
+            np.matmul(z.view(float), right[: 2 * u], out=rows[start : start + t.size, coords])
+    return rows
 
 
 def _coefficients(dec: SpectralDecomposition, rho0: np.ndarray) -> list:
@@ -244,8 +251,9 @@ def hs_distance(rho, sigma):
     them that broadcast against each other; two matrices give a float, stacks
     an array of distances.  Both must be finite and Hermitian within 1e-8.
     A stack is taken ``_DISTANCE_CHUNK`` entries of its first axis at a time,
-    so the scratch buffer stays chunk-sized whatever the stack's length: a
-    trajectory's distances allocate no second buffer the size of its states.
+    so the scratch buffer stays chunk-sized whatever the stack's length.
+    Trajectories do not come here: ``_record`` takes their distances from
+    coordinate rows.
     """
     rho, sigma = np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
     for m in (rho, sigma):
@@ -267,6 +275,15 @@ def hs_distance(rho, sigma):
     return dist
 
 
+def _check_hermitian(name: str, m: np.ndarray, skew: np.ndarray):
+    """Raise unless ``m``, with ``skew = m - m^H``, is finite and Hermitian within 1e-8."""
+    defect = float(np.max(np.abs(skew)))  # nan or inf if m is not finite
+    if not defect <= 1e-8:
+        if not np.isfinite(m).all():
+            raise ValueError(f"{name} contains non-finite entries")
+        raise NotHermitian(f"{name} is not Hermitian within 1e-8")
+
+
 def _chunk_distances(rho, sigma) -> np.ndarray:
     """Distances of validated operands, in one scratch buffer of their broadcast shape.
 
@@ -279,11 +296,7 @@ def _chunk_distances(rho, sigma) -> np.ndarray:
         part = buf[(0,) * (buf.ndim - m.ndim)]  # leading broadcast axes dropped
         np.conjugate(m.swapaxes(-1, -2), out=part)
         np.subtract(m, part, out=part)
-        defect = float(np.max(np.abs(part)))  # nan or inf if m is not finite
-        if not defect <= 1e-8:
-            if not np.isfinite(m).all():
-                raise ValueError(f"{name} contains non-finite entries")
-            raise NotHermitian(f"{name} is not Hermitian within 1e-8")
+        _check_hermitian(name, m, part)
     np.subtract(rho, sigma, out=buf)
     flat = buf.view(float).reshape(*buf.shape[:-2], -1)
     return np.sqrt(np.einsum("...i,...i->...", flat, flat))
@@ -331,9 +344,26 @@ def fit_decay_rate(
     return fit
 
 
-def _record(dec, states, grid, source, handoff) -> TrajectoryRecord:
-    dists = hs_distance(states, dec.stationary_state)
-    overlaps = states.reshape(states.shape[0], -1) @ dec.leading_left[1].T.ravel()
+def _exact_row(plan, rho: np.ndarray) -> np.ndarray:
+    """Coordinates of the Hermitian part of an exact state minus ``rho_ss``.
+
+    The state must be finite and Hermitian within 1e-8, as ``hs_distance``
+    requires of its operands.
+    """
+    adjoint = rho.conj().T
+    _check_hermitian("exact state", rho, rho - adjoint)
+    return ((rho + adjoint) / 2).view(float).ravel()[plan.coordinates] - plan.stationary
+
+
+def _record(dec, rows, grid, source, handoff) -> TrajectoryRecord:
+    """Distances and slow overlaps reduced from the coordinate rows of ``rho(t) - rho_ss``."""
+    plan = dec.packed
+    dists = plan.norms(rows)
+    if not np.isfinite(dists).all():
+        raise ValueError("trajectory contains non-finite entries")
+    ell = plan.trace_row(dec.leading_left[1])
+    pair = np.stack([ell.real, ell.imag], axis=1)  # one real product for Re and Im
+    overlaps = (rows @ pair).view(complex)[:, 0] + ell @ plan.stationary
     return TrajectoryRecord(
         times=grid.points.copy(),
         distances=dists,
@@ -362,6 +392,17 @@ def robust_trajectory(
     state and the mode sum agree to ``AGREEMENT_TOL``, the mode sum takes
     over; the agreement check makes the handoff self-validating.
 
+    The trajectory is held as one real array of coordinate rows of
+    ``rho(t) - rho_ss`` in the ``HermitianModes`` layout: the mode sum's rows
+    as ``_mode_sum_rows`` writes them, and before the handoff the rows of the
+    exact states, which must be finite and Hermitian within 1e-8.  Only the
+    mode-sum row of a time before the handoff is expanded, for the agreement
+    check against the exact state.  The distances are the weighted norms of
+    the rows and the slow overlaps one product with l2's coordinate row; no
+    stack of states is formed.  A mode-sum distance leaves out the trace
+    defect ``(Tr rho0 - 1) rho_ss`` of the state, at most 1e-10 of
+    ``|rho_ss|`` by the check of ``rho0``.
+
     At t=0 the measured defect alone is rounding noise on a hard basis, so
     the mode sum is taken there only when the a-priori bound agrees too:
     ``biorthonormality_residual * W0 <= AGREEMENT_TOL``, with ``W0`` the sum
@@ -375,8 +416,11 @@ def robust_trajectory(
     the two routes agree keeps the exact states throughout and has
     ``handoff_time`` None.
     """
-    states = evolve_spectral_grid(dec, rho0, grid)  # validates rho0
-    weight = sum(float(w.sum()) for _, w in _coefficients(dec, as_matrix(rho0)))
+    rho0 = _check_density(rho0, dec.dim)
+    plan = dec.packed
+    rows = _mode_sum_rows(dec, rho0, grid.points)
+    stationary = _stationary_term(dec, rho0)
+    weight = sum(float(w.sum()) for _, w in _coefficients(dec, rho0))
     certified = dec.diagnostics.biorthonormality_residual * weight <= AGREEMENT_TOL
     v, t_prev, handoff = vec(rho0), 0.0, None
     for i, t in enumerate(grid.points):
@@ -384,13 +428,40 @@ def robust_trajectory(
             v = expm_multiply((t - t_prev) * dec.generator, v)
             t_prev = t
         rho = unvec(v)
-        agreed = (t > 0 or certified) and float(np.max(np.abs(states[i] - rho))) <= AGREEMENT_TOL
-        states[i] = rho
+        agreed = (t > 0 or certified) and float(np.max(np.abs(
+            plan.hermitian(rows[i : i + 1] + stationary)[0] - rho))) <= AGREEMENT_TOL
+        rows[i] = _exact_row(plan, rho)
         if agreed:
             handoff = float(t)
             break
     source = "spectral" if handoff == 0.0 else "hybrid"
-    return _record(dec, states, grid, source, handoff)
+    return _record(dec, rows, grid, source, handoff)
+
+
+def fit_start(dec: SpectralDecomposition, rho0, grid: TimeGrid, slow: int) -> Optional[float]:
+    """First grid time at which the slow mode's term dominates the rest of the mode sum.
+
+    With the weights ``w_u = |c_u| peak_u`` of ``_coefficients``, that is
+    the first time t with ``sum_{u != s} w_u e^{Re lam_u t} <=
+    FIT_START_FRACTION w_s e^{Re lam_s t}``, where s is the unit of mode
+    ``slow``: 1 for lambda_2, 2 for lambda_3, whose conjugate partner shares
+    its unit.  None if no grid time qualifies, as for a state without
+    overlap with the slow mode.
+    """
+    lam = dec.eigenvalues
+    target = lam[slow] if lam[slow].imag >= 0 else np.conj(lam[slow])
+    t = grid.points
+    rest, own = np.zeros(t.size), np.zeros(t.size)
+    coefficients = _coefficients(dec, as_matrix(rho0))
+    for (modes, _), (_, lam_u, *_), (_, w) in zip(dec.blocks, dec.packed.blocks, coefficients):
+        if slow in modes:
+            u = int(np.flatnonzero(lam_u == target)[0])
+            own = w[u] * np.exp(lam_u[u].real * t)
+            w = w.copy()
+            w[u] = 0.0
+        rest += np.exp(np.outer(t, lam_u.real)) @ w
+    qualifies = (rest <= FIT_START_FRACTION * own) & (own > 0)
+    return float(t[np.argmax(qualifies)]) if qualifies.any() else None
 
 
 def find_plateau(

@@ -153,6 +153,29 @@ class HermitianModes:
         d = math.isqrt(n)
         return np.take(buf, self.expand, axis=1).view(complex).reshape(-1, d, d)
 
+    def norms(self, rows: np.ndarray) -> np.ndarray:
+        """Hilbert-Schmidt norms of the Hermitian matrices with the coordinates ``rows``.
+
+        ``Tr(X^2) = sum |X[a, b]|^2`` meets each off-diagonal coordinate
+        twice, at [a, b] and at [b, a], and each diagonal one once.
+        """
+        flat = self.coordinates // 2
+        d = math.isqrt(flat.size)
+        weight = np.where(flat // d == flat % d, 1.0, 2.0)
+        return np.sqrt(np.einsum("ti,ti,i->t", rows, rows, weight))
+
+    def trace_row(self, ell: np.ndarray) -> np.ndarray:
+        """The complex row r with ``Tr(ell X) = r . x`` for every Hermitian X with coordinates x.
+
+        As the left rows of ``_pack_block``: Re X[a, b] (a > b) carries
+        ``ell[b, a] + ell[a, b]``, Im X[a, b] carries ``i (ell[b, a] - ell[a, b])``
+        and X[a, a] carries ``ell[a, a]``.
+        """
+        flat, im = np.divmod(self.coordinates, 2)
+        a, b = np.divmod(flat, ell.shape[0])
+        l_ba, l_ab = ell[b, a], ell[a, b]
+        return np.where(im == 1, 1j * (l_ba - l_ab), np.where(a == b, l_ab, l_ba + l_ab))
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:

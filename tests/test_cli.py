@@ -217,6 +217,20 @@ class TestReproduceCommand:
         assert checks["scan_matches_two_level_law"]
         assert checks["scan_endpoints"]
 
+    def test_fit_starts_after_the_transient(self, tmp_path):
+        main(["reproduce", "fig2", "--n", "12", "--out", str(tmp_path / "n12")])
+        manifest = read_json(tmp_path / "n12" / "fig2" / "manifest.json")
+        for key in ("fit_unrotated", "fit_rotated"):
+            fit = manifest[key]
+            assert fit["fit_start"] > 0
+            assert fit["t_start"] >= fit["fit_start"]
+        # at N=8 the real lambda_4 = -0.150 sits next to the lambda_3 pair
+        # (Re -0.126) with more weight, so the pair never dominates: no fit
+        main(["reproduce", "fig2", "--n", "8", "--out", str(tmp_path / "n8")])
+        fit = read_json(tmp_path / "n8" / "fig2" / "manifest.json")["fit_rotated"]
+        assert fit["fit_start"] is None
+        assert "rate" not in fit and "never dominates" in fit["error"]
+
     def test_config_grid_bound_is_used(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("t_max = 50\n")

@@ -6,6 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.sparse.linalg import expm_multiply
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -64,6 +65,12 @@ def _with_right_mode(dec, k, r):
     blocks = list(plan.blocks)
     blocks[b] = (coords, lam_u, left, right, peak)
     return replace(dec, packed=replace(plan, blocks=tuple(blocks)))
+
+
+def _recorded_states(dec, record):
+    """The states behind the coordinate rows of ``rho(t) - rho_ss`` that ``_record`` was given."""
+    plan = dec.packed
+    return plan.hermitian(record.call_args.args[1] + plan.stationary)
 
 
 class TestTimeGrid:
@@ -305,7 +312,7 @@ class TestTrajectories:
         assert traj.source == "hybrid" and traj.handoff_time is None
         gen = sup.matrix.toarray()
         exact = [unvec(sla.expm(t * gen) @ vec(rho0)) for t in grid.points]
-        assert np.max(np.abs(record.call_args.args[1] - exact)) < 1e-10
+        assert np.max(np.abs(_recorded_states(dec, record) - exact)) < 1e-10
 
 
 class TestHybridTrajectory:
@@ -343,7 +350,7 @@ class TestHybridTrajectory:
 
         with mock.patch.object(dynamics, "_record", wraps=dynamics._record) as record:
             traj = robust_trajectory(model, perturbed, rho0, grid)
-        states = record.call_args.args[1]
+        states = _recorded_states(perturbed, record)
 
         assert traj.source == "hybrid"
         assert traj.handoff_time is not None
@@ -386,7 +393,7 @@ class TestOneTrajectoryLoop:
 
         with mock.patch.object(dynamics, "_record", wraps=dynamics._record) as record:
             traj = robust_trajectory(model, dec, rho0, grid)
-        states = record.call_args.args[1]
+        states = _recorded_states(dec, record)
 
         gen = build_liouvillian(model).matrix.toarray()
         exact = [unvec(sla.expm(t * gen) @ vec(rho0)) for t in grid.points]
@@ -613,6 +620,84 @@ class TestLateTimeAffinity:
         r2 = 1 - np.sum(resid**2) / np.sum((log_e - log_e.mean()) ** 2)
         assert r2 >= 0.999
         assert abs(sol[0]) == pytest.approx(rate3, rel=0.02)
+
+
+class TestCoordinateTrajectory:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        n_jumps=st.integers(1, 3),
+        planted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reductions_match_the_states(self, d, n_jumps, planted, seed):
+        rng = np.random.default_rng(seed)
+        model = random_lindblad_model(d, n_jumps, rng, planted)
+        try:
+            dec = decompose(build_liouvillian(model))
+        except AssumptionViolation as exc:
+            dec = exc.decomposition
+        assume(dec is not None)  # no unique stationary state
+        rho0 = random_density(d, rng)
+        grid = TimeGrid.linear(0.0, 4.0 * dec.tau, 41)
+        traj = robust_trajectory(model, dec, rho0, grid)
+        sigma, ell = dec.stationary_state, dec.leading_left[1]
+        # past the handoff every row is the mode sum's
+        first = grid.points.size
+        if traj.handoff_time is not None:
+            first = int(np.searchsorted(grid.points, traj.handoff_time)) + 1
+        states = evolve_spectral_grid(dec, rho0, grid)[first:]
+        distances = hs_distance(states, sigma)
+        overlaps = np.einsum("ij,tji->t", ell, states)
+        floor = 1e-13 * max(1.0, float(np.max(np.abs(sigma))))
+        assert np.all(np.abs(traj.distances[first:] - distances) <= 1e-12 * distances + floor)
+        scale = float(np.max(np.abs(ell)))
+        assert np.all(np.abs(traj.slow_overlaps[first:] - overlaps)
+                      <= 1e-12 * np.abs(overlaps) + floor * scale)
+        # the last grid points against the exact action on rho0 - rho_ss
+        gen = build_liouvillian(model).matrix
+        for i in range(grid.points.size - 3, grid.points.size):
+            delta = unvec(expm_multiply(grid.points[i] * gen, vec(rho0 - sigma)))
+            exact = float(np.linalg.norm(delta))
+            assert abs(traj.distances[i] - exact) <= 1e-12 * exact + floor
+
+
+class TestFitStart:
+    # a qubit with H = sigma_z / 2, decay sqrt(kappa) sigma_- and dephasing
+    # sqrt(gamma) sigma_z: the population relaxes at lambda_2 = -kappa, the
+    # coherence pair at lambda_3 = -(kappa / 2 + 2 gamma) +- i, and the
+    # weights are the terms' own sizes: p1 for the population (r_2 ~
+    # diag(-1, 1)) and 2 |rho[0, 1]| for the pair
+    KAPPA, GAMMA = 1.0, 1.0
+
+    @pytest.fixture(scope="class")
+    def qubit(self):
+        z = np.diag([1.0, -1.0]).astype(complex)
+        model = LindbladModel(
+            hamiltonian=z / 2,
+            jumps=(np.sqrt(self.KAPPA) * np.array([[0, 1], [0, 0]], dtype=complex),
+                   np.sqrt(self.GAMMA) * z),
+        )
+        dec = decompose(build_liouvillian(model))
+        assert dec.eigenvalues[1] == pytest.approx(-self.KAPPA)
+        assert dec.eigenvalues[2].real == pytest.approx(-(self.KAPPA / 2 + 2 * self.GAMMA))
+        return dec
+
+    @pytest.mark.parametrize("theta", [0.3, 0.9, 1.4])
+    def test_first_time_the_slow_term_dominates(self, qubit, theta):
+        psi = np.array([np.cos(theta), np.sin(theta) * np.exp(0.7j)])
+        rho0 = np.outer(psi, psi.conj())
+        grid = TimeGrid.linear(0.0, 20.0, 2001)
+        slow = rho0[1, 1].real * np.exp(-self.KAPPA * grid.points)
+        rest = 2 * abs(rho0[0, 1]) * np.exp(-(self.KAPPA / 2 + 2 * self.GAMMA) * grid.points)
+        first = int(np.argmax(rest <= dynamics.FIT_START_FRACTION * slow))
+        assert dynamics.fit_start(qubit, rho0, grid, 1) == grid.points[first]
+        # the population term is never the rest's hundredth
+        assert dynamics.fit_start(qubit, rho0, grid, 2) is None
+
+    def test_none_without_slow_overlap(self, qubit):
+        grid = TimeGrid.linear(0.0, 20.0, 201)
+        assert dynamics.fit_start(qubit, qubit.stationary_state, grid, 1) is None
 
 
 class TestFindPlateau:
