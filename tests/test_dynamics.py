@@ -271,6 +271,15 @@ class TestTrajectories:
         )
         assert np.all(traj.distances >= 0)
 
+    def test_non_finite_state_rejected(self, dicke6):
+        # NaN passes the trace and Hermiticity tolerances of the input check;
+        # the first exact row refuses it
+        model, dec = dicke6
+        rho0 = dec.stationary_state.copy()
+        rho0[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            robust_trajectory(model, dec, rho0, TimeGrid.linear(0.0, 1.0, 5))
+
     def test_routes_agree_on_observables(self, dicke6):
         model, dec = dicke6
         rho0 = random_density(dec.dim, RNG)
@@ -643,9 +652,8 @@ class TestCoordinateTrajectory:
         traj = robust_trajectory(model, dec, rho0, grid)
         sigma, ell = dec.stationary_state, dec.leading_left[1]
         # past the handoff every row is the mode sum's
-        first = grid.points.size
-        if traj.handoff_time is not None:
-            first = int(np.searchsorted(grid.points, traj.handoff_time)) + 1
+        assert traj.handoff_time is not None
+        first = int(np.searchsorted(grid.points, traj.handoff_time)) + 1
         states = evolve_spectral_grid(dec, rho0, grid)[first:]
         distances = hs_distance(states, sigma)
         overlaps = np.einsum("ij,tji->t", ell, states)
