@@ -4,17 +4,19 @@ Production trajectories come from one loop over the grid: the exact
 exponential action of the sparse generator until it agrees with the mode sum
 of a spectral decomposition, and the mode sum after that.  The mode sum may
 take over at t=0 only when an a-priori bound certifies it there as well.  It
-runs in real Hermitian coordinates, block by block: one real product per
-block and chunk of grid times, over one unit per real mode or conjugate pair
-and only over the units whose terms are not yet below the rounding floor of
-the full sum.  A trajectory stays in those coordinates: one real row of
-``rho(t) - rho_ss`` per grid time, from which the distances and the slow
-overlaps are reduced without forming any state; ``evolve_spectral_grid``
-expands the same rows into exactly Hermitian states.  Decay fits start where
-the slow mode's term dominates the rest of the mode sum (``fit_start``).  A
-fixed-step fourth-order Runge-Kutta integrator, written directly with the
-model operators, never touches either route and is kept as the independent
-test oracle for both.
+runs in the real coordinates of the orthonormal Hermitian basis that the
+decomposition was solved in, block by block: one real product per block and
+chunk of grid times, over one unit per real mode or conjugate pair and only
+over the units whose terms are not yet below the rounding floor of the full
+sum.  A trajectory stays in those coordinates: one real row of
+``rho(t) - rho_ss`` per grid time, whose Euclidean norm is the distance and
+whose product with l2's coordinate row is the slow overlap, so no state is
+formed; ``evolve_spectral_grid`` maps the same rows back through the basis
+into exactly Hermitian states.  Decay fits start where the slow mode's term
+dominates the rest of the mode sum (``fit_start``).  A fixed-step
+fourth-order Runge-Kutta integrator, written directly with the model
+operators, never touches either route and is kept as the independent test
+oracle for both.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ FIT_R2_FLOOR = 0.99
 FIT_START_FRACTION = 1e-2  # the rest of the mode sum over the slow term, at the fit's start
 
 _MODE_SUM_CHUNK = 32  # grid times per mode-sum product
-_DISTANCE_CHUNK = 32  # stack entries per scratch buffer of hs_distance
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
@@ -116,7 +117,7 @@ def evolve_spectral_grid(dec: SpectralDecomposition, rho0, grid: TimeGrid) -> np
     """Stack of states at all grid times, summed block by block in real Hermitian coordinates.
 
     The rows of ``_mode_sum_rows`` plus the stationary term
-    ``Tr(l_1 rho0) r_1``, expanded by ``HermitianModes.hermitian`` into
+    ``Tr(l_1 rho0) r_1``, mapped back by ``HermitianModes.hermitian`` into
     exactly Hermitian states.  Nothing is kept between calls.
     """
     rho0 = _check_density(rho0, dec.dim)
@@ -147,7 +148,7 @@ def _mode_sum_rows(dec: SpectralDecomposition, rho0: np.ndarray, times: np.ndarr
         (coords, lam, right, c, _active_prefix(weight, lam.real, starts))
         for (coords, lam, _, right, _), (c, weight) in zip(plan.blocks, _coefficients(dec, rho0))
     ]
-    rows = np.empty((times.size, plan.coordinates.size))
+    rows = np.empty((times.size, plan.stationary.size))
     for k, start in enumerate(range(0, times.size, _MODE_SUM_CHUNK)):
         t = times[start : start + _MODE_SUM_CHUNK]
         for coords, lam, right, c, prefix in terms:
@@ -162,7 +163,7 @@ def _mode_sum_rows(dec: SpectralDecomposition, rho0: np.ndarray, times: np.ndarr
 def _coefficients(dec: SpectralDecomposition, rho0: np.ndarray) -> list:
     """Per block of ``dec.packed``: ``c_u = Tr(l_u rho0)`` and the weights ``|c_u| peak_u``."""
     plan = dec.packed
-    x = ((rho0 + rho0.conj().T) / 2).view(float).ravel()[plan.coordinates]
+    x = plan.coordinates(rho0)
     out = []
     for coords, _, left, _, peak in plan.blocks:
         c = (left @ x[coords]).view(complex)
@@ -250,8 +251,6 @@ def hs_distance(rho, sigma):
     ``rho`` and ``sigma`` are square matrices or stacks ``(..., d, d)`` of
     them that broadcast against each other; two matrices give a float, stacks
     an array of distances.  Both must be finite and Hermitian within 1e-8.
-    A stack is taken ``_DISTANCE_CHUNK`` entries of its first axis at a time,
-    so the scratch buffer stays chunk-sized whatever the stack's length.
     Trajectories do not come here: ``_record`` takes their distances from
     coordinate rows.
     """
@@ -263,16 +262,12 @@ def hs_distance(rho, sigma):
         raise ShapeMismatch(
             f"shapes {rho.shape} and {sigma.shape} are not matching square matrices"
         )
-    shape = np.broadcast_shapes(rho.shape, sigma.shape)
-    if len(shape) == 2:
-        return float(_chunk_distances(rho, sigma))
-    dist = np.empty(shape[:-2])
-    for start in range(0, shape[0], _DISTANCE_CHUNK):
-        rows = slice(start, start + _DISTANCE_CHUNK)
-        dist[rows] = _chunk_distances(
-            *(m[rows] if m.ndim == len(shape) and m.shape[0] > 1 else m for m in (rho, sigma))
-        )
-    return dist
+    for name, m in (("rho", rho), ("sigma", sigma)):
+        _check_hermitian(name, m, m - m.conj().swapaxes(-1, -2))
+    diff = np.ascontiguousarray(rho - sigma)
+    flat = diff.view(float).reshape(*diff.shape[:-2], -1)
+    dist = np.sqrt(np.einsum("...i,...i->...", flat, flat))
+    return float(dist) if diff.ndim == 2 else dist
 
 
 def _check_hermitian(name: str, m: np.ndarray, skew: np.ndarray):
@@ -282,24 +277,6 @@ def _check_hermitian(name: str, m: np.ndarray, skew: np.ndarray):
         if not np.isfinite(m).all():
             raise ValueError(f"{name} contains non-finite entries")
         raise NotHermitian(f"{name} is not Hermitian within 1e-8")
-
-
-def _chunk_distances(rho, sigma) -> np.ndarray:
-    """Distances of validated operands, in one scratch buffer of their broadcast shape.
-
-    The buffer holds first each operand's anti-Hermitian part, whose largest
-    modulus is also the finiteness test, and then the difference, whose norm
-    is one reduction over its real view.
-    """
-    buf = np.empty(np.broadcast_shapes(rho.shape, sigma.shape), dtype=complex)
-    for name, m in (("rho", rho), ("sigma", sigma)):
-        part = buf[(0,) * (buf.ndim - m.ndim)]  # leading broadcast axes dropped
-        np.conjugate(m.swapaxes(-1, -2), out=part)
-        np.subtract(m, part, out=part)
-        _check_hermitian(name, m, part)
-    np.subtract(rho, sigma, out=buf)
-    flat = buf.view(float).reshape(*buf.shape[:-2], -1)
-    return np.sqrt(np.einsum("...i,...i->...", flat, flat))
 
 
 def fit_decay_rate(
@@ -350,9 +327,8 @@ def _exact_row(plan, rho: np.ndarray) -> np.ndarray:
     The state must be finite and Hermitian within 1e-8, as ``hs_distance``
     requires of its operands.
     """
-    adjoint = rho.conj().T
-    _check_hermitian("exact state", rho, rho - adjoint)
-    return ((rho + adjoint) / 2).view(float).ravel()[plan.coordinates] - plan.stationary
+    _check_hermitian("exact state", rho, rho - rho.conj().T)
+    return plan.coordinates(rho) - plan.stationary
 
 
 def _record(dec, rows, grid, source, handoff) -> TrajectoryRecord:
@@ -392,16 +368,17 @@ def robust_trajectory(
     state and the mode sum agree to ``AGREEMENT_TOL``, the mode sum takes
     over; the agreement check makes the handoff self-validating.
 
-    The trajectory is held as one real array of coordinate rows of
-    ``rho(t) - rho_ss`` in the ``HermitianModes`` layout: the mode sum's rows
-    as ``_mode_sum_rows`` writes them, and before the handoff the rows of the
-    exact states, which must be finite and Hermitian within 1e-8.  Only the
-    mode-sum row of a time before the handoff is expanded, for the agreement
-    check against the exact state.  The distances are the weighted norms of
-    the rows and the slow overlaps one product with l2's coordinate row; no
-    stack of states is formed.  A mode-sum distance leaves out the trace
-    defect ``(Tr rho0 - 1) rho_ss`` of the state, at most 1e-10 of
-    ``|rho_ss|`` by the check of ``rho0``.
+    The trajectory is held as one real array of rows of ``rho(t) - rho_ss``
+    in the basis coordinates of ``HermitianModes``: the mode sum's rows as
+    ``_mode_sum_rows`` writes them, and before the handoff the coordinates of
+    the exact states, which must be finite and Hermitian within 1e-8.  Only
+    the mode-sum row of a time before the handoff is mapped back to a state,
+    for the agreement check against the exact state.  The basis is
+    orthonormal, so the distances are the Euclidean norms of the rows; the
+    slow overlaps are one product with l2's coordinate row, and no stack of
+    states is formed.  A mode-sum distance leaves out the trace defect
+    ``(Tr rho0 - 1) rho_ss`` of the state, at most 1e-10 of ``|rho_ss|`` by
+    the check of ``rho0``.
 
     At t=0 the measured defect alone is rounding noise on a hard basis, so
     the mode sum is taken there only when the a-priori bound agrees too:
@@ -452,7 +429,7 @@ def fit_start(dec: SpectralDecomposition, rho0, grid: TimeGrid, slow: int) -> Op
     target = lam[slow] if lam[slow].imag >= 0 else np.conj(lam[slow])
     t = grid.points
     rest, own = np.zeros(t.size), np.zeros(t.size)
-    coefficients = _coefficients(dec, as_matrix(rho0))
+    coefficients = _coefficients(dec, _check_density(rho0, dec.dim))
     for (modes, _), (_, lam_u, *_), (_, w) in zip(dec.blocks, dec.packed.blocks, coefficients):
         if slow in modes:
             u = int(np.flatnonzero(lam_u == target)[0])

@@ -40,7 +40,7 @@ def max_abs(a) -> float:
 
 
 def hermiticity_defect(a) -> float:
-    """Max-norm of the anti-Hermitian part relative measured absolutely."""
+    """Largest modulus of the entries of ``a - a^H``, an absolute measure; callers scale it."""
     a = as_matrix(a)
     return float(np.max(np.abs(a - a.conj().T)))
 

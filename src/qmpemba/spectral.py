@@ -24,9 +24,11 @@ construction.  The few slowest modes, which carry all the downstream physics,
 are additionally polished by shifted inverse iteration.
 
 After one global sort, each block is finished in one pass on its own arrays
-and released before the next block's; its modes are stored once, packed in
-real Hermitian coordinates on its support (``HermitianModes``), one unit per
-real mode or conjugate pair.  Full complex matrices are kept only for the
+and released before the next block's.  Its modes stay in the basis
+coordinates they are solved in: they are stored once, packed as real rows
+over the block's basis rows (``HermitianModes``), one unit per real mode or
+conjugate pair, and the same sparse basis maps any Hermitian matrix to those
+coordinates and back.  Full complex matrices are kept only for the
 identity, the slow left mode and the stationary state; the full mode arrays
 are expanded from the packed form on request.
 """
@@ -97,84 +99,71 @@ class Diagnostics:
 class HermitianModes:
     """The modes of a decomposition in real Hermitian coordinates, block by block.
 
-    A Hermitian matrix X is held by n = d^2 real coordinates: for each block,
-    ``Re X[a, b]`` over the block's support positions with a > b, then
-    ``X[a, a]``, then ``Im X[a, b]``; the blocks follow each other, so every
-    block is one contiguous slice.  ``coordinates`` gathers them from the
-    float view of a (d, d) complex matrix, and ``expand`` is the inverse
-    gather: entry f of the float view of X is entry ``expand[f]`` of
-    ``[x, -x, 0]``, exactly Hermitian by construction.
+    A Hermitian matrix X is held by its n = d^2 real coordinates
+    ``x_a = Tr(B_a X)`` in the orthonormal Hermitian basis that ``decompose``
+    solves in: ``basis`` holds the rows ``vec(B_a)`` of
+    ``hermitian_operator_basis_rows``, reordered so that every block is one
+    contiguous slice.  ``coordinates`` maps a matrix to them and
+    ``hermitian`` maps rows back through the same sparse map, into exactly
+    Hermitian matrices.  The basis is orthonormal, so the Hilbert-Schmidt
+    norm of X is the Euclidean norm of x (``norms``), and
+    ``Tr(ell X) = trace_row(ell) . x``.
 
     A unit is a real mode or the Im lambda > 0 member of a conjugate pair.
     The Im lambda < 0 partner is dropped: it is the exact adjoint, so with
     ``z = c e^{lambda t} = P + iQ`` a pair contributes
     ``z r + (z r)^H = P (r + r^H) + Q i (r - r^H)``, two Hermitian matrices.
-    Each block holds ``(coords, lam, left, right, peak)``: its coordinate
-    slice; the units' eigenvalues, sorted by ``|Re lambda|``; the real rows
-    ``left[2u], left[2u + 1]`` with ``Tr(l_u X) = (left[2u] + i left[2u + 1])
-    . x`` for Hermitian X; the rows ``right[2u], right[2u + 1]``, the
+    With v and w the complex coordinates of r and l (``r = sum_a v_a B_a``,
+    ``Tr(l X) = w . x``), each block holds ``(coords, lam, left, right,
+    peak)``: its coordinate slice; the units' eigenvalues, sorted by
+    ``|Re lambda|``; the real rows ``left[2u], left[2u + 1]``, Re w and Im w;
+    the rows ``right[2u], right[2u + 1]``, 2 Re v and -2 Im v, the
     coordinates of ``r + r^H`` and ``i (r - r^H)`` (halved for a real mode,
     whose second row is then zero); and ``peak[u]``, ``max|r_u|`` counted
     once for each member the unit stands for, so that ``|c_u| peak[u]``
-    bounds the unit's term in every coordinate at t=0 and is the weight
+    bounds the unit's term in every entry at t=0 and is the weight
     ``sum |c_k| max|r_k|`` of its members.  The stationary mode is no unit;
     ``stationary`` holds its coordinates.
     """
 
-    coordinates: np.ndarray
-    expand: np.ndarray
+    basis: sp.csr_matrix
     blocks: tuple
     stationary: np.ndarray
 
     @classmethod
-    def assemble(cls, coordinates: list, blocks: list, stationary_state: np.ndarray):
-        """The packed form from each block's coordinates and ``(lam, left, right, peak)``."""
-        d = stationary_state.shape[0]
-        stops = np.cumsum([c.size for c in coordinates])
-        blocks = [(slice(stop - c.size, stop), *units)
-                  for c, stop, units in zip(coordinates, stops, blocks)]
-        coordinates = np.concatenate(coordinates)
-        n = coordinates.size
-        slot = np.full(2 * n, 2 * n)  # float-view position -> coordinate; the rest -> the 0
-        slot[coordinates] = np.arange(n)
-        a, b = np.divmod(np.arange(n), d)  # C-order position a d + b
-        lo = 2 * (np.maximum(a, b) * d + np.minimum(a, b))
-        expand = np.stack([slot[lo], np.where(a < b, n + slot[lo + 1], slot[lo + 1])], axis=1)
-        stationary = stationary_state.view(float).ravel()[coordinates]
-        return cls(coordinates=coordinates, expand=expand.ravel(), blocks=tuple(blocks),
-                   stationary=stationary)
+    def assemble(cls, basis: sp.csr_matrix, rows: list, blocks: list,
+                 stationary_state: np.ndarray):
+        """The packed form from each block's basis rows and ``(lam, left, right, peak)``."""
+        stops = np.cumsum([r.size for r in rows])
+        blocks = [(slice(stop - r.size, stop), *units)
+                  for r, stop, units in zip(rows, stops, blocks)]
+        basis = basis[np.concatenate(rows)]
+        return cls(basis=basis, blocks=tuple(blocks),
+                   stationary=(basis.conj() @ vec(stationary_state)).real)
+
+    def coordinates(self, x: np.ndarray) -> np.ndarray:
+        """The coordinates ``Tr(B_a X)`` of the Hermitian part of the (d, d) matrix ``x``."""
+        return (self.basis.conj() @ vec(x)).real
 
     def hermitian(self, rows: np.ndarray) -> np.ndarray:
-        """The stack of Hermitian matrices whose coordinates are the rows of ``rows``."""
-        n = self.coordinates.size
-        buf = np.zeros((rows.shape[0], 2 * n + 1))
-        buf[:, :n] = rows
-        np.negative(rows, out=buf[:, n : 2 * n])
-        d = math.isqrt(n)
-        return np.take(buf, self.expand, axis=1).view(complex).reshape(-1, d, d)
+        """The stack of Hermitian matrices whose coordinates are the rows of ``rows``.
+
+        ``rows @ conj(basis)`` is ``vec`` of the conjugate, that is of the
+        transpose, so its C-order reshape is the matrix itself.
+        """
+        d = math.isqrt(self.stationary.size)
+        return np.ascontiguousarray((rows @ self.basis.conj()).reshape(-1, d, d))
 
     def norms(self, rows: np.ndarray) -> np.ndarray:
-        """Hilbert-Schmidt norms of the Hermitian matrices with the coordinates ``rows``.
-
-        ``Tr(X^2) = sum |X[a, b]|^2`` meets each off-diagonal coordinate
-        twice, at [a, b] and at [b, a], and each diagonal one once.
-        """
-        flat = self.coordinates // 2
-        d = math.isqrt(flat.size)
-        weight = np.where(flat // d == flat % d, 1.0, 2.0)
-        return np.sqrt(np.einsum("ti,ti,i->t", rows, rows, weight))
+        """Hilbert-Schmidt norms of the Hermitian matrices with the coordinates ``rows``."""
+        return np.sqrt(np.einsum("ti,ti->t", rows, rows))
 
     def trace_row(self, ell: np.ndarray) -> np.ndarray:
-        """The complex row r with ``Tr(ell X) = r . x`` for every Hermitian X with coordinates x.
+        """The complex row ``Tr(ell B_a)``, so that ``Tr(ell X) = r . x`` for Hermitian X.
 
-        As the left rows of ``_pack_block``: Re X[a, b] (a > b) carries
-        ``ell[b, a] + ell[a, b]``, Im X[a, b] carries ``i (ell[b, a] - ell[a, b])``
-        and X[a, a] carries ``ell[a, a]``.
+        For a Hermitian ``ell`` it is the coordinate row of ``ell``.
         """
-        flat, im = np.divmod(self.coordinates, 2)
-        a, b = np.divmod(flat, ell.shape[0])
-        l_ba, l_ab = ell[b, a], ell[a, b]
-        return np.where(im == 1, 1j * (l_ba - l_ab), np.where(a == b, l_ab, l_ba + l_ab))
+        return self.basis @ ell.ravel()
 
 
 @dataclass(frozen=True)
@@ -183,7 +172,8 @@ class SpectralDecomposition:
 
     ``eigenvalues[k]`` pairs the left mode l_k with the right mode r_k under
     the trace pairing.  ``packed`` is the only store of the modes: each
-    block's units in real Hermitian coordinates (see ``HermitianModes``), the
+    block's units in the real coordinates of the orthonormal Hermitian basis
+    that the generator was diagonalized in (see ``HermitianModes``), the
     form that the mode sum runs on.  Production reads only three full
     matrices: ``stationary_state``, the trace-one r_1, and ``leading_left``,
     which holds l_1 (exactly the identity) and the slow left mode l_2, with
@@ -236,18 +226,14 @@ def _full_modes(dec: SpectralDecomposition, left: bool) -> np.ndarray:
     """All left or all right modes as one (m, d, d) array, expanded from ``dec.packed``.
 
     With the Hermitian matrices A, B of a unit's two rows, a right mode is
-    ``(A - iB) / 2`` (``A`` for a real mode, stored halved) and a left mode is
-    ``P + iQ``, where P and Q are A and B with their off-diagonal
-    coordinates halved: ``Tr(P X) = p . x`` counts each pair a > b twice.
+    ``(A - iB) / 2`` (``A`` for a real mode, stored halved) and a left mode
+    is ``A + iB``.
     """
     lam, packed = dec.eigenvalues, dec.packed
-    n = packed.coordinates.size
-    flat = packed.coordinates // 2
-    half = np.where(flat // dec.dim == flat % dec.dim, 1.0, 0.5)
     out = np.zeros((lam.size, dec.dim, dec.dim), dtype=complex)
     for (modes, _), (coords, lam_u, l_rows, r_rows, _) in zip(dec.blocks, packed.blocks):
-        rows = np.zeros((2 * lam_u.size, n))
-        rows[:, coords] = l_rows * half[coords] if left else r_rows
+        rows = np.zeros((2 * lam_u.size, packed.stationary.size))
+        rows[:, coords] = l_rows if left else r_rows
         h = packed.hermitian(rows)
         a, b = h[0::2], h[1::2]
         units = modes[(lam[modes].imag >= 0) & (modes != 0)]
@@ -428,35 +414,27 @@ def _polish(sub, pos, partners_b, vr, wr, lam, scale):
             vr[:, jb], wr[jb] = v_new.conj(), w_new.conj()
 
 
-def _pack_block(lam_b, pos, w_rows, v_cols, support, d):
-    """One block's coordinate gather and its ``(lam, left, right, peak)`` units.
+def _pack_block(lam_u, v, w, rows, d):
+    """One block's ``(lam, left, right, peak)`` from its units' basis coordinates.
 
-    ``w_rows`` and ``v_cols`` are the block's left rows and right columns
-    over its support, where position ``a + b d`` is entry ``[a, b]`` of r_k
-    and entry ``[b, a]`` of l_k; see ``HermitianModes`` for the layout.
+    Row u of ``v`` and ``w`` holds the coordinates of r_u and l_u over the
+    block's basis ``rows``; see ``HermitianModes`` for the layout.  The
+    entries of r are ``v_a`` on a diagonal row a < d and, at the two
+    positions of a pair, ``(v_s -+ i v_t) / sqrt(2)``, with s the pair's
+    symmetric row and t = s + 1 its antisymmetric one.
     """
-    a, b = support % d, support // d
-    lo, dg = np.flatnonzero(a > b), np.flatnonzero(a == b)
-    up = np.searchsorted(support, b[lo] + a[lo] * d)  # the transposed positions
-    flat = a * d + b  # C-order index of X[a, b]
-    coordinates = np.concatenate([2 * flat[lo], 2 * flat[dg], 2 * flat[lo] + 1])
-    units = np.flatnonzero((lam_b.imag >= 0) & (pos != 0))
-    lam_u = lam_b[units]
-    r_lo, r_up, r_d = (v_cols[np.ix_(idx, units)].T for idx in (lo, up, dg))
-    herm, skew = r_lo + r_up.conj(), r_lo - r_up.conj()  # lower entries of r +- r^H
-    right = np.empty((units.size, 2, support.size))
-    right[:, 0] = np.hstack([herm.real, 2 * r_d.real, herm.imag])
-    right[:, 1] = np.hstack([-skew.imag, -2 * r_d.imag, skew.real])
-    right[lam_u.imag == 0] /= 2
-    # Tr(l X) = sum over a > b of x_re (l[b, a] + l[a, b]) + i x_im (l[b, a] - l[a, b]),
-    # plus the diagonal l[a, a] x_d
-    l_ba, l_ab = w_rows[np.ix_(units, lo)], w_rows[np.ix_(units, up)]
-    row = np.hstack([l_ba + l_ab, w_rows[np.ix_(units, dg)], 1j * (l_ba - l_ab)])
-    left = np.stack([row.real, row.imag], axis=1)
-    peak = np.abs(np.hstack([r_lo, r_up, r_d])).max(axis=1, initial=0.0)
-    peak[lam_u.imag != 0] *= 2
-    return coordinates, (lam_u, left.reshape(-1, support.size),
-                         right.reshape(-1, support.size), peak)
+    double = lam_u.imag != 0
+    right = np.stack([v.real, -v.imag], axis=1)
+    right[double] *= 2
+    left = np.stack([w.real, w.imag], axis=1)
+    order = np.argsort(rows)  # the diagonal rows, then each pair's two rows
+    nd = int(np.searchsorted(rows[order], d))
+    s, t = v[:, order[nd::2]], v[:, order[nd + 1 :: 2]]
+    peak = np.abs(v[:, order[:nd]]).max(axis=1, initial=0.0)
+    for entry in (s - 1j * t, s + 1j * t):
+        peak = np.maximum(peak, np.abs(entry).max(axis=1, initial=0.0) / np.sqrt(2.0))
+    peak[double] *= 2
+    return lam_u, left.reshape(-1, rows.size), right.reshape(-1, rows.size), peak
 
 
 def decompose(
@@ -480,14 +458,16 @@ def decompose(
     ``NotHermitian``.  Each connected block of the real matrix (its nonzero
     pattern as a graph) is densified and eigensolved on its own, and the
     eigenvalues of all blocks are merged into one sorted spectrum.  Then
-    each block is finished in one pass on its own n_b x n_b arrays: packed
-    inverse and conjugate recombination, polish of the block's slow modes,
-    the identity row and trace normalization, pairing normalization and
-    balancing, the map back through the block's slice of the basis, the
-    phase convention, the biorthonormality product and the packed rows of
-    ``HermitianModes``, which are the only mode storage of the result.  The
-    block's dense arrays are released before the next block's are made, and
-    no m x d x d array is formed.  At N=40 the dicke generator splits into
+    each block is finished in one pass on its own n_b x n_b arrays of basis
+    coordinates: packed inverse and conjugate recombination, polish of the
+    block's slow modes, the identity row and trace normalization, pairing
+    normalization and balancing, the biorthonormality product, the phase
+    convention and the packed rows of ``HermitianModes``, which are the only
+    mode storage of the result and are taken straight from the coordinates.
+    Only the left entries of the phase convention, l_2 and the stationary
+    state are mapped through the block's slice of the basis.  The block's
+    dense arrays are released before the next block's are made, and no
+    m x d x d array is formed.  At N=40 the dicke generator splits into
     blocks of 841 and 840; the all-to-all generator is one block of 1681.
     The result keeps a reference to ``sup.matrix`` as ``generator``.
 
@@ -548,8 +528,9 @@ def decompose(
     # array of a block is released before the next block's are made
     norm_v = norm_w = biorth = 0.0
     leading_left = np.zeros((2, d, d), dtype=complex)
+    leading_left[0] = np.eye(d)
     stationary = np.zeros((d, d), dtype=complex)
-    mode_blocks, coordinates, units = [], [], []
+    mode_blocks, block_rows, units_b = [], [], []
     for i, pos in enumerate(modes):
         rows, sub, lam_b, partners_b, packed = blocks[i]
         blocks[i] = None
@@ -581,54 +562,53 @@ def decompose(
         bal = np.sqrt(np.linalg.norm(v, axis=0) / np.linalg.norm(w, axis=1))
         w *= bal[:, None]
         v /= bal[None, :]
+        del w, v
 
-        # back to the column-stacking frame through the block's own slice of
-        # the basis, a square map onto the block's support
+        # max|Tr(l_k r_h) - delta_kh|, the pairing w_k . v_h of the basis
+        # coordinates: the blocks have disjoint supports, so the pairing
+        # outside the blocks is exactly 0.  The row of an Im < 0 mode j with
+        # partner k is skipped: Tr(l_j r_h) = conj(Tr(l_k r_h')) with h' the
+        # partner of h, so it holds the same moduli as row k
+        keep = local[partners_b >= local]
+        pairing = wr[keep] @ vr
+        pairing[np.arange(keep.size), keep] -= 1.0
+        biorth = max(biorth, float(np.max(np.abs(pairing))))
+        del pairing
+
+        # deterministic phase of each unit, a real mode or an Im > 0 mode:
+        # the first largest-modulus entry of l_k real positive (sign-only for
+        # real modes, preserving exact Hermiticity).  Its entries, in the
+        # C order of l_k, come through the block's own slice of the basis,
+        # a square map onto the block's support
+        units = keep[keep >= first]  # the stationary mode keeps its normalization
         block_basis = basis[rows]
         support = np.unique(block_basis.indices)
         block_basis = block_basis[:, support]
-        v_cols = block_basis.T @ vr
-        w_rows = wr @ block_basis.conj()
-        del w, v, vr, wr
-
-        # deterministic per-mode phase: the first largest-modulus entry of l_k
-        # real positive (sign-only for real modes, preserving exact
-        # Hermiticity); an Im < 0 mode takes its partner's conjugate factor
-        own = local[(partners_b >= local) & (local >= first)]
-        val = w_rows[own, np.argmax(np.abs(w_rows[own]), axis=1)]
-        real = partners_b[own] == own
+        entries = wr[units] @ block_basis.conj()
+        val = entries[np.arange(units.size), np.argmax(np.abs(entries), axis=1)]
+        real = partners_b[units] == units
         mag = np.abs(val)
         flip = (val.real < 0) | ((val.real == 0) & (val.imag < 0))
         factor = np.where(real, np.where(flip, -1.0, 1.0),
                           np.conj(val) / np.where(mag > 0, mag, 1.0))
         factor[mag == 0] = 1.0
-        w_rows[own] *= factor[:, None]
-        v_cols[:, own] /= factor
-        pair = partners_b[own[~real]]
-        w_rows[pair] *= np.conj(factor[~real])[:, None]
-        v_cols[:, pair] /= np.conj(factor[~real])
+        wr[units] *= factor[:, None]
+        vr[:, units] /= factor
 
-        # max|Tr(l_k r_h) - delta_kh|: the blocks have disjoint supports, so
-        # the pairing outside the blocks is exactly 0.  The row of an Im < 0
-        # mode j with partner k is skipped: Tr(l_j r_h) = conj(Tr(l_k r_h'))
-        # with h' the partner of h, so it holds the same moduli as row k
-        keep = local[partners_b >= local]
-        pairing = w_rows[keep] @ v_cols
-        pairing[np.arange(keep.size), keep] -= 1.0
-        biorth = max(biorth, float(np.max(np.abs(pairing))))
-        del pairing
-
-        # l_k = unvec(w_k).T is the C-order reshape of its pairing row, so its
-        # flat index is the support position i + j d; r_k is transposed
-        for k in np.intersect1d(pos, [0, 1]):
-            leading_left[k].reshape(-1)[support] = w_rows[np.searchsorted(pos, k)]
+        # l_k is the C-order reshape of its entries, whose flat index is the
+        # support position i + j d; r_k is transposed.  Mode 1 is a real
+        # mode or the Im > 0 member of its pair, so it is a unit
+        if 1 in pos:
+            u = np.searchsorted(units, np.searchsorted(pos, 1))
+            leading_left[1].reshape(-1)[support] = entries[u] * factor[u]
+        del entries
         if first:
-            stationary.reshape(-1)[(support % d) * d + support // d] = v_cols[:, 0]
-        block_coordinates, block_units = _pack_block(lam[pos], pos, w_rows, v_cols, support, d)
-        coordinates.append(block_coordinates)
-        units.append(block_units)
+            r1 = block_basis.T @ vr[:, 0]
+            stationary.reshape(-1)[(support % d) * d + support // d] = r1
+        units_b.append(_pack_block(lam[pos[units]], vr[:, units].T, wr[units], rows, d))
+        block_rows.append(rows)
         mode_blocks.append((pos, support))
-        del v_cols, w_rows
+        del vr, wr
 
     cond = norm_v * norm_w
     if cond > CONDITION_WARN_THRESHOLD:
@@ -665,7 +645,7 @@ def decompose(
     )
     dec = SpectralDecomposition(
         eigenvalues=lam,
-        packed=HermitianModes.assemble(coordinates, units, stationary),
+        packed=HermitianModes.assemble(basis, block_rows, units_b, stationary),
         leading_left=leading_left,
         blocks=tuple(mode_blocks),
         stationary_state=stationary,

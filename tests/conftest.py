@@ -78,5 +78,11 @@ def all_to_all6():
 
 
 @pytest.fixture(scope="session")
+def dicke40():
+    model = dicke_model(DICKE_REF, 40)
+    return model, decompose(build_liouvillian(model))
+
+
+@pytest.fixture(scope="session")
 def both_models6(dicke6, all_to_all6):
     return {"dicke": dicke6, "all-to-all": all_to_all6}

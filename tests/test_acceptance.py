@@ -61,12 +61,6 @@ def _model(name: str, n: int):
 
 
 @pytest.fixture(scope="session")
-def dicke40():
-    model = _model("dicke", 40)
-    return model, decompose(build_liouvillian(model))
-
-
-@pytest.fixture(scope="session")
 def all_to_all40():
     model = _model("all-to-all", 40)
     return model, decompose(build_liouvillian(model))

@@ -95,10 +95,13 @@ def test_decompose_reaches_its_spans(workloads, monkeypatch):
     eig = _count_kernel(workloads, monkeypatch, "eig")
     lu = _count_kernel(workloads, monkeypatch, "lu_factor")
     inverse = _count_calls(workloads, monkeypatch, "linalg.refined_inverse")
+    basis = _count_calls(workloads, monkeypatch, "spectral.basis_rows")
     dec = qmpemba.decompose(qmpemba.build_liouvillian(qmpemba.dicke_model(DICKE_REF, 4)))
     assert len(dec.blocks) == 2
     assert len(eig) == len(inverse) == 2
     assert 1 <= len(lu) <= spectral.REFINE_MODES
+    # the basis is built once and kept by the packed modes
+    assert len(basis) == 1
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +118,7 @@ def test_trajectory_reaches_its_spans(workloads, monkeypatch, dicke4, exact_thro
     trajectory = _count_calls(workloads, monkeypatch, "dynamics.robust_trajectory")
     mode_sum = _count_calls(workloads, monkeypatch, "dynamics.mode_sum")
     distance = _count_calls(workloads, monkeypatch, "dynamics.hs_distance")
+    basis = _count_calls(workloads, monkeypatch, "spectral.basis_rows")
     psi = qmpemba.random_pure_state(4, 1)
     grid = qmpemba.TimeGrid.linear(0.0, 4.0 * dec.tau, 101)
     traj = qmpemba.robust_trajectory(model, dec, np.outer(psi, psi.conj()), grid)
@@ -125,6 +129,9 @@ def test_trajectory_reaches_its_spans(workloads, monkeypatch, dicke4, exact_thro
     # reached, so the spans read 0 on trajectories
     assert len(mode_sum) == 0
     assert len(distance) == 0
+    # the coordinates of the states go through the basis that the
+    # decomposition keeps, so a trajectory builds none
+    assert len(basis) == 0
 
 
 def test_overlap_scan_reaches_slow_mode_spectrum(workloads, monkeypatch, dicke4):

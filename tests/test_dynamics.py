@@ -48,9 +48,9 @@ RNG = np.random.default_rng(20240505)
 def _with_right_mode(dec, k, r):
     """A copy of ``dec`` whose packed unit of mode k (a real mode or Im > 0) holds ``r``.
 
-    The unit's two rows become the coordinates of ``r + r^H`` and
-    ``i (r - r^H)``, halved for a real mode, and its peak ``max|r|``, doubled
-    for a pair, as ``HermitianModes`` lays them out.
+    The unit's two rows become 2 Re v and -2 Im v, with v the basis
+    coordinates of ``r``, halved for a real mode, and its peak ``max|r|``,
+    doubled for a pair, as ``HermitianModes`` lays them out.
     """
     plan, lam = dec.packed, dec.eigenvalues
     b = next(b for b, (modes, _) in enumerate(dec.blocks) if k in modes)
@@ -59,8 +59,8 @@ def _with_right_mode(dec, k, r):
     coords, lam_u, left, right, peak = plan.blocks[b]
     right, peak = right.copy(), peak.copy()
     real = lam[k].imag == 0
-    for row, h in enumerate((r + r.conj().T, 1j * (r - r.conj().T))):
-        right[2 * u + row] = h.view(float).ravel()[plan.coordinates[coords]] / (2 if real else 1)
+    v = (plan.basis.conj() @ vec(r))[coords]
+    right[2 * u : 2 * u + 2] = np.array([v.real, -v.imag]) * (1 if real else 2)
     peak[u] = np.max(np.abs(r)) * (1 if real else 2)
     blocks = list(plan.blocks)
     blocks[b] = (coords, lam_u, left, right, peak)
@@ -702,6 +702,13 @@ class TestFitStart:
         assert dynamics.fit_start(qubit, rho0, grid, 1) == grid.points[first]
         # the population term is never the rest's hundredth
         assert dynamics.fit_start(qubit, rho0, grid, 2) is None
+
+    def test_state_checked(self, qubit):
+        grid = TimeGrid.linear(0.0, 20.0, 201)
+        with pytest.raises(ShapeMismatch):
+            dynamics.fit_start(qubit, np.eye(3) / 3, grid, 1)
+        with pytest.raises(NotNormalized):
+            dynamics.fit_start(qubit, np.eye(2), grid, 1)
 
     def test_none_without_slow_overlap(self, qubit):
         grid = TimeGrid.linear(0.0, 20.0, 201)

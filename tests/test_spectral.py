@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
@@ -227,6 +228,45 @@ class TestPolish:
             assert np.linalg.norm(lr @ v - lam * v) <= 1e-12 * scale * np.linalg.norm(v)
             assert np.linalg.norm(w @ lr - lam * w) <= 1e-12 * scale * np.linalg.norm(w)
 
+    def test_polish_reaches_the_dicke_n40_slow_mode(self, dicke40):
+        # the inputs above are small enough that the packed inverse alone
+        # meets that bound; at dicke N=40 it leaves an l2 residual of about
+        # 1e-7 of the 1-norm, and the polish brings it to about 1e-16
+        _, dec = dicke40
+        basis = hermitian_operator_basis_rows(dec.dim)
+        lr = (basis.conj() @ dec.generator @ basis.T).real
+        w = dec.leading_left[1].ravel() @ basis.T
+        residual = np.linalg.norm(w @ lr - dec.eigenvalues[1] * w)
+        assert residual <= 1e-12 * spla.norm(lr, 1) * np.linalg.norm(w)
+
+
+class TestCoordinates:
+    """One real layout: the basis coordinates ``Tr(B_a X)`` that ``decompose`` solves in."""
+
+    @settings(max_examples=30, deadline=None)
+    @random_models
+    def test_maps_of_a_hermitian_matrix(self, d, n_jumps, planted, seed):
+        dec, _ = _random_decomposition(d, n_jumps, planted, seed)
+        assume(dec is not None)
+        rng = np.random.default_rng(seed)
+        plan = dec.packed
+        x_h, ell = random_hermitian(d, rng), rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        x = plan.coordinates(x_h)
+        # each block's slice holds the coordinates on the basis rows of its support
+        basis = hermitian_operator_basis_rows(d)
+        first = basis.indices[basis.indptr[:-1]]  # first support position of each row
+        for (_, support), (coords, *_) in zip(dec.blocks, plan.blocks):
+            rows = np.flatnonzero(np.isin(first, support))
+            assert np.array_equal(x[coords], (basis[rows].conj() @ vec(x_h)).real)
+        # the basis is orthonormal: the Frobenius norm is the Euclidean one
+        frobenius = np.linalg.norm(x_h)
+        assert abs(plan.norms(x[None])[0] - frobenius) <= 1e-14 * frobenius
+        trace = np.einsum("ij,ji->", ell, x_h)
+        assert abs(plan.trace_row(ell) @ x - trace) <= 1e-14 * np.sum(np.abs(ell)) * np.max(np.abs(x_h))
+        back = plan.hermitian(x[None])[0]
+        assert np.array_equal(back, back.conj().T)
+        assert np.max(np.abs(back - x_h)) <= 1e-15 * np.max(np.abs(x_h))
+
 
 class TestQubitDecay:
     def test_degenerate_slow_mode_raised(self):
@@ -425,12 +465,12 @@ class TestStorage:
         x_h = random_hermitian(dec.dim, RNG)
         for (modes, _), (coords, lam, l_rows, r_rows, _) in zip(dec.blocks, plan.blocks):
             units = modes[(dec.eigenvalues[modes].imag >= 0) & (modes != 0)]
-            gather = plan.coordinates[coords]
+            x = plan.coordinates(x_h)[coords]
             for u, k in enumerate(units):
                 r, ell = right[k], left[k]
-                herm = (r + r.conj().T).view(float).ravel()[gather] / (2 if lam[u].imag == 0 else 1)
+                herm = plan.coordinates(r + r.conj().T)[coords] / (2 if lam[u].imag == 0 else 1)
                 assert np.max(np.abs(r_rows[2 * u] - herm)) <= 1e-15 * np.max(np.abs(r))
-                packed = (l_rows[2 * u] + 1j * l_rows[2 * u + 1]) @ x_h.view(float).ravel()[gather]
+                packed = (l_rows[2 * u] + 1j * l_rows[2 * u + 1]) @ x
                 full = np.einsum("ij,ji->", ell, x_h)
                 assert abs(packed - full) <= 1e-14 * np.sum(np.abs(ell)) * np.max(np.abs(x_h))
 
