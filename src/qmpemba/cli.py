@@ -261,7 +261,7 @@ def _fitted_trajectory(model, dec, rho0, grid, window, slow):
     except WindowEmpty as exc:
         fit, fit_info = None, {"error": str(exc)}
     fit_info = {"source": traj.source, "handoff_time": traj.handoff_time,
-                "fit_start": start, **fit_info}
+                "exact_matvecs": traj.exact_matvecs, "fit_start": start, **fit_info}
     return traj, fit, fit_info
 
 

@@ -1,37 +1,41 @@
 """Time evolution, distances to stationarity, and decay-rate fits.
 
 Production trajectories come from one loop over the grid: the exact
-exponential action of the sparse generator until it agrees with the mode sum
-of a spectral decomposition, and the mode sum after that.  The mode sum may
-take over at t=0 only when an a-priori bound certifies it there as well.  It
-runs in the real coordinates of the orthonormal Hermitian basis that the
-decomposition was solved in, block by block: one real product per block and
-chunk of grid times, over one unit per real mode or conjugate pair and only
-over the units whose terms are not yet below the rounding floor of the full
-sum.  A trajectory stays in those coordinates: one real row of
-``rho(t) - rho_ss`` per grid time, whose Euclidean norm is the distance and
-whose product with l2's coordinate row is the slow overlap, so no state is
-formed; ``evolve_spectral_grid`` maps the same rows back through the basis
-into exactly Hermitian states.  Decay fits start where the slow mode's term
-dominates the rest of the mode sum (``fit_start``).  A fixed-step
-fourth-order Runge-Kutta integrator, written directly with the model
-operators, never touches either route and is kept as the independent test
-oracle for both.
+exponential action of the generator until it agrees with the mode sum of a
+spectral decomposition, and the mode sum after that.  The mode sum may take
+over at t=0 only when an a-priori bound certifies it there as well.  Both
+run in the real coordinates of the orthonormal Hermitian basis that the
+decomposition was solved in.  The exact action is a truncated Taylor series
+of the real sparse generator (Al-Mohy & Higham 2011), planned from one exact
+1-norm per trajectory.  The mode sum runs block by block: one real product
+per block and chunk of grid times, over one unit per real mode or conjugate
+pair and only over the units whose terms are not yet below the rounding
+floor of the full sum.  A trajectory stays in those coordinates: one real
+row of ``rho(t) - rho_ss`` per grid time, whose Euclidean norm is the
+distance and whose product with l2's coordinate row is the slow overlap, so
+no state is formed; ``evolve_spectral_grid`` maps the same rows back through
+the basis into exactly Hermitian states.  Decay fits start where the slow
+mode's term dominates the rest of the mode sum (``fit_start``).  A
+fixed-step fourth-order Runge-Kutta integrator, written directly with the
+model operators, never touches either route and is kept as the independent
+test oracle for both.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.linalg import expm_multiply, norm as sparse_norm
+import scipy.sparse as sp
+from scipy.sparse.linalg import norm as sparse_norm
 
 from .errors import NotHermitian, NotNormalized, PoorFit, ShapeMismatch, WindowEmpty
 from .linalg import as_matrix
 from .spectral import SpectralDecomposition
-from .superop import LindbladModel, build_liouvillian, unvec, vec
+from .superop import LindbladModel, build_liouvillian
 
 RK4_STEP_FACTOR = 0.05
 AGREEMENT_TOL = 1e-6
@@ -43,6 +47,15 @@ FIT_START_FRACTION = 1e-2  # the rest of the mode sum over the slow term, at the
 
 _MODE_SUM_CHUNK = 32  # grid times per mode-sum product
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# theta_m of Al-Mohy & Higham (2011), Table 3.1, for the unit roundoff:
+# m Taylor terms reach it on steps of 1-norm at most theta_m
+_TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3, 7: 2.38e-2,
+    8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1,
+    15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44, 21: 1.62, 22: 1.82,
+    23: 2.01, 24: 2.22, 25: 2.43, 26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7,
+    40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
 
 
 @dataclass(frozen=True)
@@ -100,6 +113,7 @@ class TrajectoryRecord:
     slow_overlaps: np.ndarray  # Tr(l_2 rho_t) along the trajectory
     source: str  # "spectral": mode sum from t=0 | "hybrid": exact action first
     handoff_time: Optional[float] = None  # first mode-sum time; None: never agreed
+    exact_matvecs: int = 0  # generator products of the exact segment
 
 
 def _check_density(rho, d: int, tol: float = 1e-10) -> np.ndarray:
@@ -263,20 +277,15 @@ def hs_distance(rho, sigma):
             f"shapes {rho.shape} and {sigma.shape} are not matching square matrices"
         )
     for name, m in (("rho", rho), ("sigma", sigma)):
-        _check_hermitian(name, m, m - m.conj().swapaxes(-1, -2))
+        # the defect is nan or inf if m is not finite
+        if not float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)))) <= 1e-8:
+            if not np.isfinite(m).all():
+                raise ValueError(f"{name} contains non-finite entries")
+            raise NotHermitian(f"{name} is not Hermitian within 1e-8")
     diff = np.ascontiguousarray(rho - sigma)
     flat = diff.view(float).reshape(*diff.shape[:-2], -1)
     dist = np.sqrt(np.einsum("...i,...i->...", flat, flat))
     return float(dist) if diff.ndim == 2 else dist
-
-
-def _check_hermitian(name: str, m: np.ndarray, skew: np.ndarray):
-    """Raise unless ``m``, with ``skew = m - m^H``, is finite and Hermitian within 1e-8."""
-    defect = float(np.max(np.abs(skew)))  # nan or inf if m is not finite
-    if not defect <= 1e-8:
-        if not np.isfinite(m).all():
-            raise ValueError(f"{name} contains non-finite entries")
-        raise NotHermitian(f"{name} is not Hermitian within 1e-8")
 
 
 def fit_decay_rate(
@@ -321,17 +330,7 @@ def fit_decay_rate(
     return fit
 
 
-def _exact_row(plan, rho: np.ndarray) -> np.ndarray:
-    """Coordinates of the Hermitian part of an exact state minus ``rho_ss``.
-
-    The state must be finite and Hermitian within 1e-8, as ``hs_distance``
-    requires of its operands.
-    """
-    _check_hermitian("exact state", rho, rho - rho.conj().T)
-    return plan.coordinates(rho) - plan.stationary
-
-
-def _record(dec, rows, grid, source, handoff) -> TrajectoryRecord:
+def _record(dec, rows, grid, source, handoff, matvecs) -> TrajectoryRecord:
     """Distances and slow overlaps reduced from the coordinate rows of ``rho(t) - rho_ss``."""
     plan = dec.packed
     dists = plan.norms(rows)
@@ -346,7 +345,48 @@ def _record(dec, rows, grid, source, handoff) -> TrajectoryRecord:
         slow_overlaps=overlaps,
         source=source,
         handoff_time=handoff,
+        exact_matvecs=matvecs,
     )
+
+
+def _real_generator(dec: SpectralDecomposition):
+    """``(A, mu, |A|_1)``: ``dec.generator`` in the coordinates of ``dec.packed``, less ``mu I``.
+
+    ``mu`` is the mean of the diagonal, the shift of Al-Mohy & Higham that
+    lowers the 1-norm the Taylor steps are planned from.
+    """
+    basis = dec.packed.basis
+    a = (basis.conj() @ dec.generator @ basis.T).real
+    mu = float(a.diagonal().mean())
+    a = a - mu * sp.identity(a.shape[0], format="csr")
+    return a, mu, float(abs(a).sum(axis=0).max())
+
+
+def _taylor_action(generator, x: np.ndarray, h: float):
+    """``e^{h (A + mu)} x`` and the products with A that it took (Al-Mohy & Higham 2011).
+
+    ``generator`` is ``_real_generator``'s triple.  Of the degrees m of
+    ``_TAYLOR_THETA`` the step takes the one that needs the fewest products
+    m s, with ``s = ceil(h |A|_1 / theta_m)`` substeps; each substep stops
+    its series once two successive terms fall below the unit roundoff of the
+    sum, and is scaled by ``e^{mu h / s}``.
+    """
+    a, mu, norm = generator
+    m, s = min(((m, max(1, math.ceil(h * norm / theta))) for m, theta in _TAYLOR_THETA.items()),
+               key=lambda ms: ms[0] * ms[1])
+    eta, products = math.exp(mu * h / s), 0
+    for _ in range(s):
+        b, c1 = x, np.abs(x).max()
+        for j in range(1, m + 1):
+            b = (h / (s * j)) * (a @ b)
+            products += 1
+            c2 = np.abs(b).max()
+            x = x + b
+            if c1 + c2 <= _UNIT_ROUNDOFF * np.abs(x).max():
+                break
+            c1 = c2
+        x = eta * x
+    return x, products
 
 
 def robust_trajectory(
@@ -361,24 +401,25 @@ def robust_trajectory(
     but near t=0 its reconstruction defect can be large when the eigenvector
     basis is close to defective.  One loop walks the grid from its first
     point, carrying the exact state: rho0 itself at t=0, and after that the
-    exact exponential action (``scipy.sparse.linalg.expm_multiply``, Al-Mohy
-    & Higham 2011) of ``dec.generator``, the very CSR matrix that was
-    decomposed, so no generator is built here; ``model`` is the model that
-    ``dec`` was decomposed from.  At the first grid time where the exact
+    exact exponential action of ``dec.generator``, the very CSR matrix that
+    was decomposed, so no generator is built here; ``model`` is the model
+    that ``dec`` was decomposed from.  At the first grid time where the exact
     state and the mode sum agree to ``AGREEMENT_TOL``, the mode sum takes
     over; the agreement check makes the handoff self-validating.
 
     The trajectory is held as one real array of rows of ``rho(t) - rho_ss``
     in the basis coordinates of ``HermitianModes``: the mode sum's rows as
-    ``_mode_sum_rows`` writes them, and before the handoff the coordinates of
-    the exact states, which must be finite and Hermitian within 1e-8.  Only
-    the mode-sum row of a time before the handoff is mapped back to a state,
-    for the agreement check against the exact state.  The basis is
-    orthonormal, so the distances are the Euclidean norms of the rows; the
-    slow overlaps are one product with l2's coordinate row, and no stack of
-    states is formed.  A mode-sum distance leaves out the trace defect
-    ``(Tr rho0 - 1) rho_ss`` of the state, at most 1e-10 of ``|rho_ss|`` by
-    the check of ``rho0``.
+    ``_mode_sum_rows`` writes them, and before the handoff the exact rows.
+    The exact state is propagated in those coordinates, where it cannot
+    leave the Hermitian matrices: ``_real_generator`` is built on the first
+    exact step only, and each grid interval is one ``_taylor_action``;
+    ``exact_matvecs`` counts its products.  Only the difference of the two
+    rows at a time before the handoff is mapped back to a matrix, for the
+    max-abs agreement check.  The basis is orthonormal, so the distances are
+    the Euclidean norms of the rows, and must be finite; the slow overlaps
+    are one product with l2's coordinate row.  A mode-sum distance leaves out
+    the trace defect ``(Tr rho0 - 1) rho_ss`` of the state, at most 1e-10 of
+    ``|rho_ss|`` by the check of ``rho0``.
 
     At t=0 the measured defect alone is rounding noise on a hard basis, so
     the mode sum is taken there only when the a-priori bound agrees too:
@@ -399,20 +440,21 @@ def robust_trajectory(
     stationary = _stationary_term(dec, rho0)
     weight = sum(float(w.sum()) for _, w in _coefficients(dec, rho0))
     certified = dec.diagnostics.biorthonormality_residual * weight <= AGREEMENT_TOL
-    v, t_prev, handoff = vec(rho0), 0.0, None
+    x, t_prev, handoff = plan.coordinates(rho0), 0.0, None
+    generator, matvecs = None, 0
     for i, t in enumerate(grid.points):
         if t > t_prev:
-            v = expm_multiply((t - t_prev) * dec.generator, v)
-            t_prev = t
-        rho = unvec(v)
+            generator = generator or _real_generator(dec)
+            x, products = _taylor_action(generator, x, t - t_prev)
+            t_prev, matvecs = t, matvecs + products
         agreed = (t > 0 or certified) and float(np.max(np.abs(
-            plan.hermitian(rows[i : i + 1] + stationary)[0] - rho))) <= AGREEMENT_TOL
-        rows[i] = _exact_row(plan, rho)
+            plan.hermitian(rows[i : i + 1] + stationary - x)))) <= AGREEMENT_TOL
+        rows[i] = x - plan.stationary
         if agreed:
             handoff = float(t)
             break
     source = "spectral" if handoff == 0.0 else "hybrid"
-    return _record(dec, rows, grid, source, handoff)
+    return _record(dec, rows, grid, source, handoff, matvecs)
 
 
 def fit_start(dec: SpectralDecomposition, rho0, grid: TimeGrid, slow: int) -> Optional[float]:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qmpemba import dynamics
 from qmpemba.cli import main
 from qmpemba.config import load_config
 from qmpemba.errors import ConfigError, NoConvergence
@@ -182,6 +183,20 @@ class TestEvolveCommand:
         assert np.max(data[:, 2]) < 1e-8
         manifest = read_json(out / "manifest.json")
         assert manifest["rotation"]["branch"] == "rotation"
+
+    @pytest.mark.parametrize("agreement_tol", [dynamics.AGREEMENT_TOL, -1.0])
+    def test_manifest_counts_exact_matvecs(self, agreement_tol, tmp_path, monkeypatch):
+        # at N=6 the mode sum is certified at t=0; with no agreement the
+        # whole grid is propagated exactly
+        monkeypatch.setattr(dynamics, "AGREEMENT_TOL", agreement_tol)
+        out = tmp_path / "run"
+        main(["evolve", "--model", "dicke", "--n", "6", "--out", str(out)])
+        fit = read_json(out / "manifest.json")["fit"]
+        if agreement_tol > 0:
+            assert (fit["source"], fit["handoff_time"], fit["exact_matvecs"]) == ("spectral", 0.0, 0)
+        else:
+            assert (fit["source"], fit["handoff_time"]) == ("hybrid", None)
+            assert fit["exact_matvecs"] > 0
 
     def test_evolve_distance_zero_time(self, tmp_path):
         out = tmp_path / "run"

@@ -272,13 +272,14 @@ class TestTrajectories:
         assert np.all(traj.distances >= 0)
 
     def test_non_finite_state_rejected(self, dicke6):
-        # NaN passes the trace and Hermiticity tolerances of the input check;
-        # the first exact row refuses it
+        # the input check (``as_matrix``) refuses NaN before any exact step
         model, dec = dicke6
         rho0 = dec.stationary_state.copy()
         rho0[0, 0] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="non-finite"), \
+                mock.patch.object(dynamics, "_real_generator") as real:
             robust_trajectory(model, dec, rho0, TimeGrid.linear(0.0, 1.0, 5))
+        real.assert_not_called()
 
     def test_routes_agree_on_observables(self, dicke6):
         model, dec = dicke6
@@ -295,13 +296,19 @@ class TestTrajectories:
         model, dec = all_to_all6
         rho0 = random_density(dec.dim, RNG)
         grid = TimeGrid.linear(0.0, 6.0, 13)
-        with mock.patch.object(dynamics, "build_liouvillian") as build:
+        with mock.patch.object(dynamics, "build_liouvillian") as build, \
+                mock.patch.object(dynamics, "_real_generator") as real:
             traj = robust_trajectory(model, dec, rho0, grid)
         assert traj.source == "spectral"
         assert traj.handoff_time == 0.0
         build.assert_not_called()  # nothing was propagated exactly
-        # t=0 row is anchored to the initial state itself
-        assert traj.distances[0] == hs_distance(rho0, dec.stationary_state)
+        real.assert_not_called()  # nor was the real generator built for it
+        assert traj.exact_matvecs == 0
+        # t=0 row is anchored to the initial state itself; the norm of its
+        # coordinates and the matrix norm round differently
+        eps = np.finfo(float).eps
+        assert traj.distances[0] == pytest.approx(
+            hs_distance(rho0, dec.stationary_state), rel=4 * eps, abs=0)
         states = evolve_integrator(model, rho0, grid)
         distances = [hs_distance(s, dec.stationary_state) for s in states]
         assert np.max(np.abs(traj.distances - distances)) < 1e-6
@@ -363,6 +370,7 @@ class TestHybridTrajectory:
 
         assert traj.source == "hybrid"
         assert traj.handoff_time is not None
+        assert traj.exact_matvecs > 0
         h = int(np.searchsorted(grid.points, traj.handoff_time))
         gen = build_liouvillian(model).matrix.toarray()
         exact_burn = [unvec(sla.expm(t * gen) @ vec(rho0)) for t in grid.points[: h + 1]]
@@ -377,6 +385,44 @@ class TestHybridTrajectory:
         assert np.max(np.abs(states[h:] - unperturbed[h:])) < 2 * AGREEMENT_TOL
         assert np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1)) < 1e-10
         assert np.max(np.abs(states - states.conj().transpose(0, 2, 1))) < 1e-10
+
+
+class TestTaylorStepper:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        n_jumps=st.integers(1, 3),
+        geometric=st.booleans(),
+        reach=st.floats(-3.0, np.log10(500.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_match_dense_expm(self, d, n_jumps, geometric, reach, seed):
+        # the routes never agree, so every row is the stepper's; the widest
+        # interval has h |A|_1 = 10^reach on a linear grid, and a geometric
+        # grid runs from 1e-3 up to about that
+        rng = np.random.default_rng(seed)
+        model = random_lindblad_model(d, n_jumps, rng)
+        try:
+            dec = decompose(build_liouvillian(model))
+        except AssumptionViolation as exc:
+            dec = exc.decomposition
+        rho0 = random_density(d, rng)
+        norm = dynamics._real_generator(dec)[2]
+        h = 10.0**reach / norm
+        if geometric:
+            grid = TimeGrid.geometric(1e-3 / norm, max(2 * h, 2e-3 / norm), 8, include_zero=True)
+        else:
+            grid = TimeGrid.linear(0.0, 4 * h, 5)
+        with mock.patch.object(dynamics, "AGREEMENT_TOL", -1.0), \
+                mock.patch.object(dynamics, "_record", wraps=dynamics._record) as record, \
+                mock.patch.object(dynamics, "_real_generator", wraps=dynamics._real_generator) as real:
+            traj = robust_trajectory(model, dec, rho0, grid)
+        assert traj.handoff_time is None and traj.exact_matvecs > 0
+        real.assert_called_once()
+        plan, gen = dec.packed, dec.generator.toarray()
+        exact = [plan.coordinates(unvec(sla.expm(t * gen) @ vec(rho0))) for t in grid.points]
+        rows = record.call_args.args[1] + plan.stationary
+        assert np.max(np.abs(rows - exact)) < 1e-10
 
 
 class TestOneTrajectoryLoop:
