@@ -425,10 +425,9 @@ def robust_trajectory(
     the mode sum is taken there only when the a-priori bound agrees too:
     ``biorthonormality_residual * W0 <= AGREEMENT_TOL``, with ``W0`` the sum
     of the weights ``|c_u| peak_u`` that ``_active_prefix`` starts from.  On
-    dicke N=20 and on the N=40 dicke rotated state (whose defect alone is
-    1.4x above the threshold) that bound sits at least 20x from it; on the
-    all-to-all N=20 rotated state it is 1.2e-6, only 1.2x above, so that
-    state's path can still move with rounding.  A handoff at t=0 gives
+    dicke N=20, on the N=40 dicke rotated state (whose defect alone is 2.5x
+    above the threshold) and on the all-to-all N=20 rotated state (bound
+    2.2e-8) that bound sits at least 20x from it.  A handoff at t=0 gives
     ``source`` "spectral" and ``handoff_time`` 0.0, and means that it was
     certified there; a later one gives "hybrid".  A grid that ends before
     the two routes agree keeps the exact states throughout and has

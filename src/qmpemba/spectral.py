@@ -18,10 +18,15 @@ shows up as exact zeros between blocks without any model-specific code.  At
 N=40 the dicke generator splits into blocks of 841 and 840 (the parity of
 i - j); the all-to-all generator stays one block of 1681.
 
-Left modes are rows of the (Newton-refined) inverse of the right eigenvector
+Each block is kept sparse and densified only for its eigensolve.  Left
+modes are rows of the (Newton-refined) inverse of the right eigenvector
 matrix, so ``Tr(l_k r_h) = delta_kh`` holds to solver accuracy by
 construction.  The few slowest modes, which carry all the downstream physics,
-are additionally polished by shifted inverse iteration.
+are additionally polished by shifted inverse iteration on the sparse block,
+with a sparse LU.  Every dense LAPACK call (the eigensolve here, the inverse
+in ``linalg``) goes through numpy, so only numpy's OpenBLAS thread pool ever
+runs: scipy loads a second OpenBLAS with a pool of its own, and two pools
+spinning at once on the same cores slow each other down.
 
 After one global sort, each block is finished in one pass on its own arrays
 and released before the next block's.  Its modes stay in the basis
@@ -41,9 +46,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
+import scipy.linalg as sla  # sla.LinAlgError is numpy's; bench/ traces the kernels here
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 
 from .errors import (
     ComplexSlowMode,
@@ -316,34 +322,32 @@ def _blocks(lr: sp.csr_matrix, basis: sp.csr_matrix) -> list[np.ndarray]:
 def _refine_pair(lr, lam_k, v, w, scale):
     """One-shift inverse iteration for the right and left vectors of lam_k.
 
-    ``lr - shift`` is factored once.  The right vector takes two solves with
-    the LU factors, the left vector two solves with their conjugate transpose
-    (``lu_solve(..., trans=2)``), since ``w (lr - shift) = 0`` is
-    ``(lr - shift)^H w^H = 0``; the eigenvalue is the two-sided Rayleigh
-    quotient.  A real lam_k keeps a real shift and real vectors.  Returns
-    None when a solve fails or the two vectors do not pair.
+    The sparse block ``lr - shift`` is factored once by a sparse LU
+    (``splu``).  The right vector takes two solves with the factors, the left
+    vector two solves with their conjugate transpose (``trans="H"``), since
+    ``w (lr - shift) = 0`` is ``(lr - shift)^H w^H = 0``; the eigenvalue is
+    the two-sided Rayleigh quotient.  A real lam_k keeps a real shift, a real
+    factorization and real vectors.  Returns None when the factor is exactly
+    singular or the two vectors do not pair or are not finite.
     """
     shift = lam_k + _REFINE_SHIFT_JITTER * scale
     is_real = lam_k.imag == 0.0
     if is_real:
-        shifted = lr.copy()
         shift, v, w = shift.real, v.real, w.real
-    else:
-        shifted = lr.astype(complex)
-    shifted.flat[:: lr.shape[0] + 1] -= shift
+    shifted = lr - shift * sp.identity(lr.shape[0], format="csc")
     try:
-        lu = sla.lu_factor(shifted)
-        wc = w.conj()
-        for _ in range(2):
-            v = sla.lu_solve(lu, v)
-            v /= np.linalg.norm(v)
-            wc = sla.lu_solve(lu, wc, trans=2)
-            wc /= np.linalg.norm(wc)
-        w = wc.conj()
-    except (sla.LinAlgError, ValueError):
+        lu = splu(shifted)
+    except RuntimeError:  # exactly singular
         return None
+    wc = w.conj()
+    for _ in range(2):
+        v = lu.solve(v)
+        v /= np.linalg.norm(v)
+        wc = lu.solve(wc, trans="H")
+        wc /= np.linalg.norm(wc)
+    w = wc.conj()
     denom = w @ v
-    if denom == 0:
+    if denom == 0 or not np.isfinite(denom):
         return None
     lam_new = (w @ (lr @ v)) / denom
     if is_real:
@@ -353,8 +357,11 @@ def _refine_pair(lr, lam_k, v, w, scale):
 
 
 def _block_eig(sub):
-    """Sorted eigenvalues of one dense real block, their partners and packed eigenvectors.
+    """Sorted eigenvalues of one sparse real block, their partners and packed eigenvectors.
 
+    The block is densified for the eigensolve alone; the dense copy is freed
+    when this returns.  ``np.linalg.eig`` returns real arrays when every
+    eigenvalue of the block is real, so the eigenvalues are cast to complex.
     The real eigensolver delivers exactly conjugate column pairs (a +- ib).
     The packed REAL matrix holds a in the Im > 0 column and b in its
     partner's, so that inverting it and recombining keeps real modes exactly
@@ -364,9 +371,10 @@ def _block_eig(sub):
     with different supports.
     """
     try:
-        lam_b, v_b = sla.eig(sub)
+        lam_b, v_b = np.linalg.eig(sub.toarray())
     except (sla.LinAlgError, ValueError) as exc:
         raise NoConvergence(f"generator eigensolver failed: {exc}") from exc
+    lam_b = lam_b.astype(complex, copy=False)
     order_b = _sort_order(lam_b)
     lam_b = lam_b[order_b]
     partners_b = _conjugate_partners(lam_b)
@@ -456,11 +464,13 @@ def decompose(
     map of :func:`hermitian_operator_basis_rows`, where it is real and stays
     sparse; a generator that does not preserve Hermiticity raises
     ``NotHermitian``.  Each connected block of the real matrix (its nonzero
-    pattern as a graph) is densified and eigensolved on its own, and the
-    eigenvalues of all blocks are merged into one sorted spectrum.  Then
-    each block is finished in one pass on its own n_b x n_b arrays of basis
-    coordinates: packed inverse and conjugate recombination, polish of the
-    block's slow modes, the identity row and trace normalization, pairing
+    pattern as a graph) is kept as a sparse CSC matrix; a dense copy of it
+    lives only for its eigensolve (``np.linalg.eig``) and is freed right
+    after, and the eigenvalues of all blocks are merged into one sorted
+    spectrum.  Then each block is finished in one pass on its own n_b x n_b
+    arrays of basis coordinates: packed inverse and conjugate recombination,
+    polish of the block's slow modes (a sparse LU of the shifted sparse
+    block), the identity row and trace normalization, pairing
     normalization and balancing, the biorthonormality product, the phase
     convention and the packed rows of ``HermitianModes``, which are the only
     mode storage of the result and are taken straight from the coordinates.
@@ -496,10 +506,10 @@ def decompose(
     lr = lr.real
     lr.eliminate_zeros()
 
-    # (basis rows, dense block of lr, sorted eigenvalues, partners, packed eigenvectors)
+    # (basis rows, sparse block of lr, sorted eigenvalues, partners, packed eigenvectors)
     blocks = []
     for rows in _blocks(lr, basis):
-        sub = lr[rows][:, rows].toarray()
+        sub = lr[rows][:, rows].tocsc()
         blocks.append((rows, sub, *_block_eig(sub)))
     del lr, sub
 

@@ -90,16 +90,16 @@ def _count_kernel(workloads, monkeypatch, attr):
 
 
 def test_decompose_reaches_its_spans(workloads, monkeypatch):
-    # one eigensolve and one inverse per block, and one LU factorization per
-    # polished mode, of which there is at least the stationary one
-    eig = _count_kernel(workloads, monkeypatch, "eig")
-    lu = _count_kernel(workloads, monkeypatch, "lu_factor")
+    # the dense eigensolves run on numpy's LAPACK and the polish on a sparse
+    # LU, so decompose reaches none of the scipy.linalg kernels and their
+    # spans read 0; one inverse per block
+    kernels = {attr: _count_kernel(workloads, monkeypatch, attr) for _, attr in workloads.KERNELS}
     inverse = _count_calls(workloads, monkeypatch, "linalg.refined_inverse")
     basis = _count_calls(workloads, monkeypatch, "spectral.basis_rows")
     dec = qmpemba.decompose(qmpemba.build_liouvillian(qmpemba.dicke_model(DICKE_REF, 4)))
     assert len(dec.blocks) == 2
-    assert len(eig) == len(inverse) == 2
-    assert 1 <= len(lu) <= spectral.REFINE_MODES
+    assert {attr: len(calls) for attr, calls in kernels.items()} == dict.fromkeys(kernels, 0)
+    assert len(inverse) == 2
     # the basis is built once and kept by the packed modes
     assert len(basis) == 1
 

@@ -22,13 +22,16 @@ from conftest import (
 )
 
 from qmpemba import (
+    TimeGrid,
     all_to_all_model,
     build_liouvillian,
     decompose,
     dicke_model,
     hermitize_slow_mode,
+    random_pure_state,
+    robust_trajectory,
 )
-from qmpemba import spectral
+from qmpemba import dynamics, spectral
 from qmpemba.errors import (
     AssumptionViolation,
     DegenerateSlowMode,
@@ -113,14 +116,14 @@ class TestBlocks:
         reference = sla.eigvals(sup.matrix.toarray())
 
         sizes = []
-        eig = spectral.sla.eig
+        eig = np.linalg.eig
 
         def recording_eig(a, *args, **kwargs):
             sizes.append(a.shape[0])
             return eig(a, *args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectral.sla, "eig", recording_eig)
+            mp.setattr(spectral.np.linalg, "eig", recording_eig)
             try:
                 dec = decompose(sup)
                 lam = dec.eigenvalues
@@ -239,6 +242,54 @@ class TestPolish:
         residual = np.linalg.norm(w @ lr - dec.eigenvalues[1] * w)
         assert residual <= 1e-12 * spla.norm(lr, 1) * np.linalg.norm(w)
 
+    @pytest.mark.parametrize("lam, block", [
+        (0j, np.zeros((3, 3))),
+        (1j, np.array([[0.0, 1.0], [-1.0, 0.0]])),  # lr - i is exactly singular
+    ])
+    def test_singular_shift_returns_none(self, lam, block):
+        n = block.shape[0]
+        assert spectral._refine_pair(sp.csc_matrix(block), lam, np.ones(n, dtype=complex),
+                                     np.ones(n, dtype=complex), 0.0) is None
+
+
+class TestOneBlasPool:
+    """decompose and a trajectory run without any scipy.linalg LAPACK call.
+
+    numpy and scipy each load their own OpenBLAS with its own thread pool;
+    the dense eigensolves and inverses go through numpy's and the polish
+    through a sparse LU, so scipy's pool never competes with numpy's.
+    """
+
+    @pytest.fixture()
+    def factored(self, monkeypatch):
+        """Make the scipy.linalg kernels fail the test; record the dtype of each splu."""
+        for name in ("eig", "inv", "lu_factor", "lu_solve"):
+            monkeypatch.setattr(sla, name, lambda *a, _name=name, **k: pytest.fail(
+                f"scipy.linalg.{_name} called"))
+        dtypes = []
+        splu = spectral.splu
+
+        def recording(a, *args, **kwargs):
+            dtypes.append(a.dtype)
+            return splu(a, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "splu", recording)
+        return dtypes
+
+    def test_dicke_real_slow_modes(self, factored, monkeypatch):
+        model = dicke_model(DICKE_REF, 4)
+        dec = decompose(build_liouvillian(model))
+        assert dec.eigenvalues[1].imag == 0 and np.float64 in factored
+        monkeypatch.setattr(dynamics, "AGREEMENT_TOL", -1.0)  # exact action over the whole grid
+        psi = random_pure_state(4, 1)
+        traj = robust_trajectory(model, dec, np.outer(psi, psi.conj()),
+                                 TimeGrid.linear(0.0, 4.0 * dec.tau, 41))
+        assert traj.source == "hybrid" and np.all(np.isfinite(traj.distances))
+
+    def test_all_to_all_complex_pair(self, factored):
+        dec = decompose(build_liouvillian(all_to_all_model(ALL_TO_ALL_REF, 4)))
+        assert dec.eigenvalues[2].imag != 0 and np.complex128 in factored
+
 
 class TestCoordinates:
     """One real layout: the basis coordinates ``Tr(B_a X)`` that ``decompose`` solves in."""
@@ -283,6 +334,16 @@ class TestQubitDecay:
         assert np.allclose(dec.stationary_state, np.diag([1.0, 0.0]), atol=1e-12)
         assert not dec.diagnostics.flags.slow_mode_unique
         assert dec.diagnostics.flags.stationary_unique
+
+    def test_real_spectrum_blocks_come_back_complex(self):
+        # both blocks (populations, coherences) have real spectra, for which
+        # the eigensolver returns real arrays; lambda = 0, -g/2, -g/2, -g
+        with pytest.raises(DegenerateSlowMode) as err:
+            decompose(build_liouvillian(qubit_decay_model(kappa=2.0)))
+        dec = err.value.decomposition
+        assert len(dec.blocks) == 2
+        assert dec.eigenvalues.dtype == complex
+        assert np.max(np.abs(dec.eigenvalues - [0.0, -1.0, -1.0, -2.0])) <= 1e-14
 
     def test_attached_decomposition_on_error(self):
         sup = build_liouvillian(qubit_decay_model())
