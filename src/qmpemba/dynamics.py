@@ -355,8 +355,7 @@ def _real_generator(dec: SpectralDecomposition):
     ``mu`` is the mean of the diagonal, the shift of Al-Mohy & Higham that
     lowers the 1-norm the Taylor steps are planned from.
     """
-    basis = dec.packed.basis
-    a = (basis.conj() @ dec.generator @ basis.T).real
+    a = (dec.packed.basis_conj @ dec.generator @ dec.packed.basis.T).real
     mu = float(a.diagonal().mean())
     a = a - mu * sp.identity(a.shape[0], format="csr")
     return a, mu, float(abs(a).sum(axis=0).max())

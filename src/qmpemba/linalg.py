@@ -1,14 +1,14 @@
-"""Dense complex linear algebra with explicit accuracy contracts.
+"""Dense linear algebra with explicit accuracy contracts.
 
-All matrices are ``numpy.ndarray`` of ``complex128`` in row-major (C) element
-order; this storage order is fixed package-wide.  Two LAPACK-backed routines
-live here, both on numpy's LAPACK so that one OpenBLAS thread pool serves the
-whole process: a Hermitian eigensolver whose result is residual-checked
-before it is returned, and a Newton-refined inverse, from which
-left-eigenvector rows are taken so that the pairing ``W @ V = 1`` holds to
-solver accuracy.  The inverse starts from the transposed solve
-``V^T W^T = I``, which makes every row of W a backward-stable left-inverse
-row.
+Matrices are ``numpy.ndarray`` in row-major (C) element order; this storage
+order is fixed package-wide.  Two LAPACK-backed routines live here, both on
+numpy's LAPACK so that one OpenBLAS thread pool serves the whole process: a
+Hermitian eigensolver for complex matrices, whose result is residual-checked
+before it is returned, and a Newton-refined inverse of the real packed
+eigenvector matrix, from whose rows the left modes are taken so that the
+pairing ``W @ V = 1`` holds to solver accuracy.  The inverse starts from the
+transposed solve ``V^T W^T = I``, which makes every row of W a
+backward-stable left-inverse row.
 """
 
 from __future__ import annotations
@@ -109,15 +109,15 @@ def refined_inverse(v: np.ndarray) -> tuple[np.ndarray, float]:
         w = np.linalg.inv(v.T).T
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigenvector matrix numerically singular: {exc}") from exc
-    eye = np.eye(n, dtype=v.dtype)
     best_w, best_r = w, np.inf
     for _ in range(6):
-        e = eye - w @ v
-        r = float(np.max(np.abs(e)))
+        e = w @ v
+        e.flat[:: n + 1] -= 1  # W V - 1, exactly -(1 - W V), with no identity formed
+        r = float(max(e.max(), -e.min()))
         if r < best_r:
             best_w, best_r = w, r
         if r >= best_r * 0.5:
             break
-        w = w + e @ w
+        w = w - e @ w
     return best_w, best_r
 

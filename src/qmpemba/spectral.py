@@ -28,14 +28,14 @@ in ``linalg``) goes through numpy, so only numpy's OpenBLAS thread pool ever
 runs: scipy loads a second OpenBLAS with a pool of its own, and two pools
 spinning at once on the same cores slow each other down.
 
-After one global sort, each block is finished in one pass on its own arrays
-and released before the next block's.  Its modes stay in the basis
-coordinates they are solved in: they are stored once, packed as real rows
-over the block's basis rows (``HermitianModes``), one unit per real mode or
-conjugate pair, and the same sparse basis maps any Hermitian matrix to those
-coordinates and back.  Full complex matrices are kept only for the
-identity, the slow left mode and the stationary state; the full mode arrays
-are expanded from the packed form on request.
+After one global sort, each block is finished in real arithmetic on its own
+arrays, released before the next block's: a conjugate pair is two real
+columns of the eigenvector matrix and two real rows of its inverse, so each
+normalization of it is a 2x2 real map.  The modes stay in the basis
+coordinates they are solved in, stored once as real rows over the block's
+basis rows (``HermitianModes``), one unit per real mode or conjugate pair.
+Full complex matrices are kept only for the identity, the slow left mode and
+the stationary state; full mode arrays are expanded on request.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ REFINE_MODES = 3
 
 _REFINE_SEPARATION_FACTOR = 1e-6
 _REFINE_SHIFT_JITTER = 1e-12
+_ENTRY_SLICES = 8
 
 
 @dataclass(frozen=True)
@@ -147,9 +148,14 @@ class HermitianModes:
         return cls(basis=basis, blocks=tuple(blocks),
                    stationary=(basis.conj() @ vec(stationary_state)).real)
 
+    @cached_property
+    def basis_conj(self) -> sp.csr_matrix:
+        """The conjugate of ``basis``, built once."""
+        return self.basis.conj()
+
     def coordinates(self, x: np.ndarray) -> np.ndarray:
         """The coordinates ``Tr(B_a X)`` of the Hermitian part of the (d, d) matrix ``x``."""
-        return (self.basis.conj() @ vec(x)).real
+        return (self.basis_conj @ vec(x)).real
 
     def hermitian(self, rows: np.ndarray) -> np.ndarray:
         """The stack of Hermitian matrices whose coordinates are the rows of ``rows``.
@@ -158,7 +164,7 @@ class HermitianModes:
         transpose, so its C-order reshape is the matrix itself.
         """
         d = math.isqrt(self.stationary.size)
-        return np.ascontiguousarray((rows @ self.basis.conj()).reshape(-1, d, d))
+        return np.ascontiguousarray((rows @ self.basis_conj).reshape(-1, d, d))
 
     def norms(self, rows: np.ndarray) -> np.ndarray:
         """Hilbert-Schmidt norms of the Hermitian matrices with the coordinates ``rows``."""
@@ -350,10 +356,7 @@ def _refine_pair(lr, lam_k, v, w, scale):
     if denom == 0 or not np.isfinite(denom):
         return None
     lam_new = (w @ (lr @ v)) / denom
-    if is_real:
-        lam_new = complex(lam_new.real)
-        v, w = v.real + 0j, w.real + 0j
-    return lam_new, v, w
+    return (complex(lam_new.real) if is_real else lam_new), v, w
 
 
 def _block_eig(sub):
@@ -364,11 +367,10 @@ def _block_eig(sub):
     eigenvalue of the block is real, so the eigenvalues are cast to complex.
     The real eigensolver delivers exactly conjugate column pairs (a +- ib).
     The packed REAL matrix holds a in the Im > 0 column and b in its
-    partner's, so that inverting it and recombining keeps real modes exactly
-    real and paired rows exactly conjugate, with no structure enforcement
-    that could break the pairing cancellations.  Partners are found within
-    a block, so that an exact degeneracy across blocks cannot pair vectors
-    with different supports.
+    partner's, so that its real inverse keeps real modes exactly real and
+    paired modes exactly conjugate.  Partners are found within a block, so
+    that an exact degeneracy across blocks cannot pair vectors with
+    different supports.
     """
     try:
         lam_b, v_b = np.linalg.eig(sub.toarray())
@@ -384,65 +386,147 @@ def _block_eig(sub):
     return lam_b, partners_b, packed
 
 
-def _paired_inverse(lam_b, partners_b, packed):
-    """Right columns, left rows and the 1-norms of the packed matrix and its inverse."""
-    if np.any((lam_b.imag != 0) & (partners_b == np.arange(lam_b.size))):
-        raise NoConvergence("unpaired complex eigenvalue from the real eigensolver")
-    up = np.flatnonzero(lam_b.imag > 0)
-    down = partners_b[up]
-    inverse, _ = refined_inverse(packed)
-    norms = float(np.linalg.norm(packed, 1)), float(np.linalg.norm(inverse, 1))
-    vr = packed.astype(complex)
-    a, b = packed[:, up], packed[:, down]
-    vr[:, up], vr[:, down] = a + 1j * b, a - 1j * b
-    wr = inverse.astype(complex)
-    a, b = inverse[up], inverse[down]
-    wr[up], wr[down] = (a - 1j * b) / 2, (a + 1j * b) / 2
-    return vr, wr, norms
+def _polish(sub, pos, partners_b, keep, left, right, lam, scale):
+    """Polish the block's modes ``pos < REFINE_MODES`` in place: they carry all the physics.
 
-
-def _polish(sub, pos, partners_b, vr, wr, lam, scale):
-    """Polish the block's modes ``pos < REFINE_MODES`` in place: they carry all the physics."""
-    sep_min = _REFINE_SEPARATION_FACTOR * scale
+    The member ``keep[u]`` holds Re and Im of its vectors in ``left[u]`` and
+    ``right[u]``; its partner's are their conjugates.
+    """
     for kb in range(int(np.searchsorted(pos, REFINE_MODES))):
         k = pos[kb]
         jb = partners_b[kb]
         others = np.abs(lam - lam[k])
         others[[k, pos[jb]]] = np.inf
-        if k > 0 and np.min(others) <= sep_min:
+        if k > 0 and np.min(others) <= _REFINE_SEPARATION_FACTOR * scale:
             continue
-        out = _refine_pair(sub, complex(lam[k]), vr[:, kb], wr[kb], scale)
+        u = np.searchsorted(keep, min(kb, jb))
+        (xl, yl), (xr, yr) = left[u], right[u]
+        sign = -1.0 if kb > jb else 1.0  # the Im < 0 member of a pair
+        out = _refine_pair(sub, complex(lam[k]), xr + sign * 1j * yr, xl + sign * 1j * yl, scale)
         if out is None:
             continue
         lam_new, v_new, w_new = out
-        lam[k] = lam_new
-        vr[:, kb], wr[kb] = v_new, w_new
-        if jb != kb:
-            lam[pos[jb]] = np.conj(lam_new)
-            vr[:, jb], wr[jb] = v_new.conj(), w_new.conj()
+        lam[pos[jb]], lam[k] = np.conj(lam_new), lam_new  # k last: a real mode is its own partner
+        xr[:], yr[:], xl[:], yl[:] = v_new.real, sign * v_new.imag, w_new.real, sign * w_new.imag
 
 
-def _pack_block(lam_u, v, w, rows, d):
-    """One block's ``(lam, left, right, peak)`` from its units' basis coordinates.
+def _largest_entries(rows, conj_basis):
+    """Per unit x + iy of ``rows``, the modulus and value of its first largest entry in C order.
 
-    Row u of ``v`` and ``w`` holds the coordinates of r_u and l_u over the
-    block's basis ``rows``; see ``HermitianModes`` for the layout.  The
-    entries of r are ``v_a`` on a diagonal row a < d and, at the two
-    positions of a pair, ``(v_s -+ i v_t) / sqrt(2)``, with s the pair's
-    symmetric row and t = s + 1 its antisymmetric one.
+    ``z @ conj_basis`` lists the entries of ``sum_a z_a B_a`` in C order; it
+    is split here into real products, a slice of the units at a time.
     """
-    double = lam_u.imag != 0
-    right = np.stack([v.real, -v.imag], axis=1)
-    right[double] *= 2
-    left = np.stack([w.real, w.imag], axis=1)
-    order = np.argsort(rows)  # the diagonal rows, then each pair's two rows
-    nd = int(np.searchsorted(rows[order], d))
-    s, t = v[:, order[nd::2]], v[:, order[nd + 1 :: 2]]
-    peak = np.abs(v[:, order[:nd]]).max(axis=1, initial=0.0)
-    for entry in (s - 1j * t, s + 1j * t):
-        peak = np.maximum(peak, np.abs(entry).max(axis=1, initial=0.0) / np.sqrt(2.0))
-    peak[double] *= 2
-    return lam_u, left.reshape(-1, rows.size), right.reshape(-1, rows.size), peak
+    re_b, im_b = conj_basis.real, conj_basis.imag
+    top, val = np.empty(len(rows)), np.empty(len(rows), dtype=complex)
+    step = max(1, -(-len(rows) // _ENTRY_SLICES))
+    for cut in (slice(i, i + step) for i in range(0, len(rows), step)):
+        x, y = rows[cut, 0], rows[cut, 1]
+        re, im = x @ re_b - y @ im_b, x @ im_b + y @ re_b
+        mod = np.hypot(re, im)
+        at, k = np.arange(len(mod)), np.argmax(mod, axis=1)
+        top[cut], val[cut] = mod[at, k], re[at, k] + 1j * im[at, k]
+    return top, val
+
+
+def _scale_units(rows, c):
+    """Multiply each unit x + iy of ``rows`` by the complex c[u], in place."""
+    x, y, re, im = rows[:, 0], rows[:, 1], c.real[:, None], c.imag[:, None]
+    t = x * im
+    x *= re
+    x -= y * im
+    y *= re
+    y += t
+
+
+def _finish_block(block, pos, lam, scale, basis, ell2, stationary):
+    """Finish one block in real arithmetic: its packed units, 1-norms, residual and support.
+
+    ``block`` holds the block's basis rows, sparse block, sorted eigenvalues,
+    partners and packed eigenvector matrix V (``_block_eig``); it is emptied
+    so that V is freed once packed.  A pair a +- ib is held as the columns a,
+    b of V and its left modes (p -+ iq)/2 as the rows p, q of W = V^-1.
+    Writes l_2 into ``ell2`` and the stationary state into ``stationary``.
+    """
+    rows, sub, lam_b, partners_b, v = block
+    block.clear()
+    n = v.shape[0]
+    local = np.arange(n)
+    if np.any((lam_b.imag != 0) & (partners_b == local)):
+        raise NoConvergence("unpaired complex eigenvalue from the real eigensolver")
+    w, _ = refined_inverse(v)
+    norms = float(np.linalg.norm(v, 1)), float(np.linalg.norm(w, 1))
+    # the members, each real mode and the Im > 0 member of each pair: unit u
+    # holds the real and imaginary parts of l_u in left[u] and of r_u in right[u]
+    keep = np.flatnonzero(partners_b >= local)
+    pair = partners_b[keep] != keep
+    mate = partners_b[keep[pair]]
+    left = np.zeros((keep.size, 2, n))
+    left[:, 0] = w[keep]
+    left[pair, 1] = w[mate]
+    del w
+    left *= np.where(pair[:, None], [0.5, -0.5], 1.0)[:, :, None]
+    right = np.zeros_like(left)
+    right[:, 0] = v[:, keep].T
+    right[pair, 1] = v[:, mate].T
+    del v
+    _polish(sub, pos, partners_b, keep, left, right, lam, scale)
+    del sub
+    first = int(pos[0] == 0)
+    if first:
+        # l_1 is the identity, exactly: mode 0 is simple and first in its block
+        left[0, 0] = rows < math.isqrt(basis.shape[0])
+        tr_r1 = left[0, 0] @ right[0, 0]
+        if abs(tr_r1) < 1e-14:
+            raise NoConvergence("stationary candidate has numerically zero trace")
+        right[0, 0] /= tr_r1
+
+    # pairing normalization Tr(l_u r_u) = 1, the balance of the two norms and
+    # the phase of the first largest-modulus entry of l_u (real positive; a
+    # sign for a real mode, preserving exact Hermiticity), one map per unit
+    conj_basis = basis[rows]
+    support = np.unique(conj_basis.indices)
+    conj_basis = conj_basis[:, support].conj()
+    lu, ru = left[first:], right[first:]
+    g = np.einsum("uin,ujn->uij", lu, ru)
+    diag = g[:, 0, 0] - g[:, 1, 1] + 1j * (g[:, 0, 1] + g[:, 1, 0])
+    if np.any(diag == 0):
+        raise NoConvergence("vanishing left/right pairing; basis unusable")
+    ratio = np.einsum("uin,uin->u", ru, ru) / np.einsum("uin,uin->u", lu, lu)
+    bal = np.sqrt(np.sqrt(ratio) * np.abs(diag))  # sqrt(|r_u| / |l_u / diag_u|)
+    val = _largest_entries(lu, conj_basis)[1] * (bal / diag)
+    mag = np.abs(val)
+    flip = (val.real < 0) | ((val.real == 0) & (val.imag < 0))
+    factor = np.where(pair[first:], np.conj(val) / np.where(mag > 0, mag, 1.0),
+                      np.where(flip, -1.0, 1.0))
+    factor[mag == 0] = 1.0
+    _scale_units(lu, bal / diag * factor)
+    _scale_units(ru, 1.0 / (bal * factor))
+
+    # max|Tr(l_k r_h) - delta_kh| over the members k and all modes h, from the
+    # products a, b, c, e of Re l_k, Im l_k with Re r_h, Im r_h: Tr(l_k r_h) =
+    # (a - b) + i (c + e), and (a + b) + i (e - c) for the partner h' of h.  An
+    # Im < 0 mode's row is conjugate, and pairings across blocks are exactly 0
+    left, right = left.reshape(-1, n), right.reshape(-1, n)
+    prod = (left @ right.T).reshape(keep.size, 2, keep.size, 2)
+    a, b, c, e = prod[:, 0, :, 0], prod[:, 1, :, 1], prod[:, 0, :, 1], prod[:, 1, :, 0]
+    re = a - b
+    re.flat[:: keep.size + 1] -= 1.0
+    residual = float(np.max(np.hypot(re, c + e, out=re)))
+    re = a + b
+    re.flat[:: keep.size + 1] -= ~pair
+    residual = max(residual, float(np.max(np.hypot(re, e - c, out=re))))
+    del prod, a, b, c, e, re
+
+    # the stored right rows are 2 Re r and -2 Im r (Re r alone for a real mode)
+    ru *= np.where(pair[first:], 2.0, 1.0)[:, None, None] * [[1.0], [-1.0]]
+    if 1 in pos:
+        xl, yl = lu[np.searchsorted(keep, np.searchsorted(pos, 1)) - first]
+        ell2.reshape(-1)[support] = (xl + 1j * yl) @ conj_basis
+    if first:
+        stationary.reshape(-1)[support] = right[0] @ conj_basis
+    units = (lam[pos[keep[first:]]], lu.reshape(-1, n), ru.reshape(-1, n),
+             _largest_entries(ru, conj_basis)[0])
+    return units, norms, residual, support
 
 
 def decompose(
@@ -465,21 +549,16 @@ def decompose(
     sparse; a generator that does not preserve Hermiticity raises
     ``NotHermitian``.  Each connected block of the real matrix (its nonzero
     pattern as a graph) is kept as a sparse CSC matrix; a dense copy of it
-    lives only for its eigensolve (``np.linalg.eig``) and is freed right
-    after, and the eigenvalues of all blocks are merged into one sorted
-    spectrum.  Then each block is finished in one pass on its own n_b x n_b
-    arrays of basis coordinates: packed inverse and conjugate recombination,
-    polish of the block's slow modes (a sparse LU of the shifted sparse
-    block), the identity row and trace normalization, pairing
-    normalization and balancing, the biorthonormality product, the phase
-    convention and the packed rows of ``HermitianModes``, which are the only
-    mode storage of the result and are taken straight from the coordinates.
-    Only the left entries of the phase convention, l_2 and the stationary
-    state are mapped through the block's slice of the basis.  The block's
-    dense arrays are released before the next block's are made, and no
-    m x d x d array is formed.  At N=40 the dicke generator splits into
-    blocks of 841 and 840; the all-to-all generator is one block of 1681.
-    The result keeps a reference to ``sup.matrix`` as ``generator``.
+    lives only for its eigensolve (``np.linalg.eig``), and the eigenvalues
+    of all blocks are merged into one sorted spectrum.  Then each block is
+    finished in real arithmetic (``_finish_block``): from its packed
+    eigenvector matrix and the real inverse, the polish of its slow modes
+    (a sparse LU of the shifted sparse block), the trace, pairing and phase
+    normalizations and the biorthonormality product all act on the real
+    rows of ``HermitianModes``, the only mode storage of the result.  No
+    complex n_b x n_b and no m x d x d array is formed.  At N=40 the dicke
+    generator splits into blocks of 841 and 840; the all-to-all generator
+    is one block of 1681.  The result keeps ``sup.matrix`` as ``generator``.
 
     Violated assumptions raise ``ComplexSlowMode`` or ``DegenerateSlowMode``
     with the finished decomposition attached.  A degenerate zero eigenvalue
@@ -510,7 +589,7 @@ def decompose(
     blocks = []
     for rows in _blocks(lr, basis):
         sub = lr[rows][:, rows].tocsc()
-        blocks.append((rows, sub, *_block_eig(sub)))
+        blocks.append([rows, sub, *_block_eig(sub)])
     del lr, sub
 
     # the stable global sort keeps each block's modes in their block order,
@@ -534,93 +613,16 @@ def decompose(
             eigenvalues=lam,
         )
 
-    # each block runs the whole chain on its own arrays, and every dense
-    # array of a block is released before the next block's are made
-    norm_v = norm_w = biorth = 0.0
-    leading_left = np.zeros((2, d, d), dtype=complex)
-    leading_left[0] = np.eye(d)
+    # each block is finished on its own arrays, and every dense array of a
+    # block is released before the next block's are made
+    leading_left = np.stack([np.eye(d, dtype=complex), np.zeros((d, d))])
     stationary = np.zeros((d, d), dtype=complex)
-    mode_blocks, block_rows, units_b = [], [], []
-    for i, pos in enumerate(modes):
-        rows, sub, lam_b, partners_b, packed = blocks[i]
-        blocks[i] = None
-        vr, wr, (nv, nw) = _paired_inverse(lam_b, partners_b, packed)
-        del packed
-        # the 1-norm of a block-diagonal matrix is the largest of its blocks'
-        norm_v, norm_w = max(norm_v, nv), max(norm_w, nw)
-        _polish(sub, pos, partners_b, vr, wr, lam, scale)
-        del sub
-        local = np.arange(pos.size)
-        first = int(pos[0] == 0)  # the stationary mode keeps its normalization
-        if first:
-            # left mode of the zero eigenvalue is the identity, exactly.  Mode
-            # 0 is the first of its block, and the identity lies in that
-            # block: each block's share of it is a left null vector, and the
-            # zero eigenvalue is simple.
-            wr[0] = (basis.conj() @ vec(np.eye(d, dtype=complex)))[rows]
-            tr_r1 = wr[0] @ vr[:, 0]
-            if abs(tr_r1) < 1e-14:
-                raise NoConvergence("stationary candidate has numerically zero trace")
-            vr[:, 0] /= tr_r1
-
-        # pairing normalization Tr(l_k r_k) = 1, then balance the mode norms
-        w, v = wr[first:], vr[:, first:]
-        diag = np.einsum("ij,ji->i", w, v)
-        if np.any(diag == 0):
-            raise NoConvergence("vanishing left/right pairing; basis unusable")
-        w /= diag[:, None]
-        bal = np.sqrt(np.linalg.norm(v, axis=0) / np.linalg.norm(w, axis=1))
-        w *= bal[:, None]
-        v /= bal[None, :]
-        del w, v
-
-        # max|Tr(l_k r_h) - delta_kh|, the pairing w_k . v_h of the basis
-        # coordinates: the blocks have disjoint supports, so the pairing
-        # outside the blocks is exactly 0.  The row of an Im < 0 mode j with
-        # partner k is skipped: Tr(l_j r_h) = conj(Tr(l_k r_h')) with h' the
-        # partner of h, so it holds the same moduli as row k
-        keep = local[partners_b >= local]
-        pairing = wr[keep] @ vr
-        pairing[np.arange(keep.size), keep] -= 1.0
-        biorth = max(biorth, float(np.max(np.abs(pairing))))
-        del pairing
-
-        # deterministic phase of each unit, a real mode or an Im > 0 mode:
-        # the first largest-modulus entry of l_k real positive (sign-only for
-        # real modes, preserving exact Hermiticity).  Its entries, in the
-        # C order of l_k, come through the block's own slice of the basis,
-        # a square map onto the block's support
-        units = keep[keep >= first]  # the stationary mode keeps its normalization
-        block_basis = basis[rows]
-        support = np.unique(block_basis.indices)
-        block_basis = block_basis[:, support]
-        entries = wr[units] @ block_basis.conj()
-        val = entries[np.arange(units.size), np.argmax(np.abs(entries), axis=1)]
-        real = partners_b[units] == units
-        mag = np.abs(val)
-        flip = (val.real < 0) | ((val.real == 0) & (val.imag < 0))
-        factor = np.where(real, np.where(flip, -1.0, 1.0),
-                          np.conj(val) / np.where(mag > 0, mag, 1.0))
-        factor[mag == 0] = 1.0
-        wr[units] *= factor[:, None]
-        vr[:, units] /= factor
-
-        # l_k is the C-order reshape of its entries, whose flat index is the
-        # support position i + j d; r_k is transposed.  Mode 1 is a real
-        # mode or the Im > 0 member of its pair, so it is a unit
-        if 1 in pos:
-            u = np.searchsorted(units, np.searchsorted(pos, 1))
-            leading_left[1].reshape(-1)[support] = entries[u] * factor[u]
-        del entries
-        if first:
-            r1 = block_basis.T @ vr[:, 0]
-            stationary.reshape(-1)[(support % d) * d + support // d] = r1
-        units_b.append(_pack_block(lam[pos[units]], vr[:, units].T, wr[units], rows, d))
-        block_rows.append(rows)
-        mode_blocks.append((pos, support))
-        del vr, wr
-
-    cond = norm_v * norm_w
+    block_rows = [block[0] for block in blocks]
+    units_b, norms, residuals, supports = zip(*[
+        _finish_block(block, pos, lam, scale, basis, leading_left[1], stationary)
+        for block, pos in zip(blocks, modes)])
+    # the 1-norm of a block-diagonal matrix is the largest of its blocks'
+    cond = max(nv for nv, _ in norms) * max(nw for _, nw in norms)
     if cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(
             f"generator eigenbasis condition estimate {cond:.2e} exceeds "
@@ -629,7 +631,6 @@ def decompose(
             stacklevel=2,
         )
 
-    stationary = (stationary + stationary.conj().T) / 2
     min_eig = float(np.min(np.linalg.eigvalsh(stationary)))
 
     lam2, lam3 = lam[1], lam[2]
@@ -644,7 +645,7 @@ def decompose(
     fixed_point = float(np.max(np.abs(mat @ vec(stationary)))) / scale
     diagnostics = Diagnostics(
         condition_estimate=cond,
-        biorthonormality_residual=biorth,
+        biorthonormality_residual=max(residuals),
         fixed_point_residual=fixed_point,
         max_real_part=float(np.max(lam.real)),
         stationary_min_eigenvalue=min_eig,
@@ -657,7 +658,7 @@ def decompose(
         eigenvalues=lam,
         packed=HermitianModes.assemble(basis, block_rows, units_b, stationary),
         leading_left=leading_left,
-        blocks=tuple(mode_blocks),
+        blocks=tuple(zip(modes, supports)),
         stationary_state=stationary,
         tau=tau,
         gap3=gap3,
