@@ -524,8 +524,10 @@ class TestStorage:
         sup = build_liouvillian(model)
         tracemalloc.start()
         try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             dec = decompose(sup)
-            peak = tracemalloc.get_traced_memory()[1]
+            peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         n_max = max(modes.size for modes, _ in dec.blocks)
