@@ -445,7 +445,7 @@ def _finish_block(block, pos, lam, scale, basis, ell2, stationary):
     partners and packed eigenvector matrix V (``_block_eig``); it is emptied
     so that V is freed once packed.  A pair a +- ib is held as the columns a,
     b of V and its left modes (p -+ iq)/2 as the rows p, q of W = V^-1.
-    Writes l_2 into ``ell2`` and the stationary state into ``stationary``.
+    Writes l_2 into ``ell2`` and r_1 into ``stationary`` when the block holds them.
     """
     rows, sub, lam_b, partners_b, v = block
     block.clear()
