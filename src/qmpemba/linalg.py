@@ -2,7 +2,8 @@
 
 Matrices are ``numpy.ndarray`` in row-major (C) element order; this storage
 order is fixed package-wide.  Two LAPACK-backed routines live here, both on
-numpy's LAPACK so that one OpenBLAS thread pool serves the whole process: a
+numpy's LAPACK so that one OpenBLAS thread pool serves the whole process
+(``spectral`` calls numpy's ``dgeev`` itself, concurrently per block): a
 Hermitian eigensolver for complex matrices, whose result is residual-checked
 before it is returned, and a Newton-refined inverse of the real packed
 eigenvector matrix, from whose rows the left modes are taken so that the

@@ -23,10 +23,14 @@ modes are rows of the (Newton-refined) inverse of the right eigenvector
 matrix, so ``Tr(l_k r_h) = delta_kh`` holds to solver accuracy by
 construction.  The few slowest modes, which carry all the downstream physics,
 are additionally polished by shifted inverse iteration on the sparse block,
-with a sparse LU.  Every dense LAPACK call (the eigensolve here, the inverse
-in ``linalg``) goes through numpy, so only numpy's OpenBLAS thread pool ever
-runs: scipy loads a second OpenBLAS with a pool of its own, and two pools
-spinning at once on the same cores slow each other down.
+with a sparse LU.  Every dense LAPACK call runs on numpy's OpenBLAS: scipy
+loads a second OpenBLAS, whose thread pool would spin against numpy's on the
+same cores.  The inverse in ``linalg`` goes through ``np.linalg``; the
+eigensolve here calls numpy's own ``dgeev`` through ``ctypes``, which
+releases the GIL, so the blocks are solved concurrently, one thread per
+block at one BLAS thread each.  Its dense block, eigenvectors and workspace
+live in anonymous mappings, which go back to the OS when freed, where a
+thread's malloc arena would keep them.
 
 After one global sort, each block is finished in real arithmetic on its own
 arrays, released before the next block's: a conjugate pair is two real
@@ -40,8 +44,13 @@ the stationary state; full mode arrays are expanded on request.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import mmap
+import threading
 import warnings
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -359,30 +368,127 @@ def _refine_pair(lr, lam_k, v, w, scale):
     return (complex(lam_new.real) if is_real else lam_new), v, w
 
 
-def _block_eig(sub):
-    """Sorted eigenvalues of one sparse real block, their partners and packed eigenvectors.
+def _bind_lapack():
+    """numpy's own ``dgeev`` and OpenBLAS thread count calls through ``ctypes``, or Nones.
 
-    The block is densified for the eigensolve alone; the dense copy is freed
-    when this returns.  ``np.linalg.eig`` returns real arrays when every
-    eigenvalue of the block is real, so the eigenvalues are cast to complex.
-    The real eigensolver delivers exactly conjugate column pairs (a +- ib).
-    The packed REAL matrix holds a in the Im > 0 column and b in its
-    partner's, so that its real inverse keeps real modes exactly real and
-    paired modes exactly conjugate.  Partners are found within a block, so
-    that an exact degeneracy across blocks cannot pair vectors with
-    different supports.
+    numpy's wheels link scipy-openblas64 (64-bit integers, decorated symbols);
+    its pthreads ``openblas_set_num_threads_local`` sets the process's count.
     """
     try:
-        lam_b, v_b = np.linalg.eig(sub.toarray())
-    except (sla.LinAlgError, ValueError) as exc:
-        raise NoConvergence(f"generator eigensolver failed: {exc}") from exc
-    lam_b = lam_b.astype(complex, copy=False)
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        calls = (lib.scipy_dgeev_64_, lib.scipy_openblas_get_num_threads64_,
+                 lib.openblas_set_num_threads_local)
+    except (ImportError, OSError, AttributeError):
+        return None, None, None
+    dgeev, threads, set_threads = calls
+    dgeev.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 12 + [ctypes.c_size_t] * 2
+    threads.argtypes, set_threads.argtypes = [], [ctypes.c_int]
+    dgeev.restype, threads.restype, set_threads.restype = None, ctypes.c_int, ctypes.c_int
+    return calls
+
+
+_DGEEV, _BLAS_THREADS, _SET_BLAS_THREADS = _bind_lapack()
+_MAPPED = {"live": 0, "peak": 0}  # bytes in _mapped buffers, which tracemalloc does not see
+_MAPPED_LOCK = threading.Lock()
+_BLAS_LOCK = threading.Lock()  # one concurrent eigensolve at a time sets the thread count
+
+
+def _count_mapped(nbytes):
+    with _MAPPED_LOCK:
+        _MAPPED["live"] += nbytes
+        _MAPPED["peak"] = max(_MAPPED["peak"], _MAPPED["live"])
+
+
+def _mapped(shape, order="C"):
+    """A zeroed float64 array in an anonymous mapping of its own, unmapped with its last view.
+
+    glibc keeps a freed heap block in the arena of the thread that made it,
+    while a mapping goes back to the OS when it is freed.
+    """
+    nbytes = 8 * math.prod(shape)
+    buf = mmap.mmap(-1, max(nbytes, 1), flags=mmap.MAP_PRIVATE)
+    _count_mapped(nbytes)
+    weakref.finalize(buf, _count_mapped, -nbytes)
+    return np.ndarray(shape, buffer=buf, order=order)
+
+
+def _block_eig(sub):
+    """Eigenvalues of one sparse real block and LAPACK's real eigenvector matrix VR.
+
+    A pair is listed Im > 0 first, at j and j + 1, with eigenvectors
+    VR[:, j] +- i VR[:, j + 1].  The bound ``dgeev`` solves the block in
+    mapped buffers and releases the GIL; ``np.linalg.eig`` is the fallback.
+    """
+    if not np.all(np.isfinite(sub.data)):
+        raise NoConvergence("generator eigensolver failed: non-finite generator block")
+    n = sub.shape[0]
+    if _DGEEV is None:
+        try:
+            lam, v = np.linalg.eig(sub.toarray())
+        except (sla.LinAlgError, ValueError) as exc:
+            raise NoConvergence(f"generator eigensolver failed: {exc}") from exc
+        vr, second = v.real, np.flatnonzero(lam.imag < 0)
+        vr[:, second] = v.imag[:, second - 1]
+        return lam.astype(complex, copy=False), vr
+    a, wr_wi, vr = _mapped((n, n), "F"), _mapped((2, n)), _mapped((n, n), "F")
+    sub.toarray(out=a)
+    ints = np.array([n, n, 1, n, -1, 0], dtype=np.int64)  # N, LDA, LDVL, LDVR, LWORK, INFO
+    p = ints.ctypes.data
+
+    def dgeev(work):
+        _DGEEV(b"N", b"V", p, a.ctypes.data, p + 8, wr_wi[0].ctypes.data, wr_wi[1].ctypes.data,
+               None, p + 16, vr.ctypes.data, p + 24, work.ctypes.data, p + 32, p + 40, 1, 1)
+
+    work = np.zeros(1)
+    dgeev(work)  # LWORK = -1: the optimal LWORK comes back in work[0]
+    ints[4] = int(work[0])
+    dgeev(_mapped((ints[4],)))
+    if ints[5] != 0:
+        raise NoConvergence(f"generator eigensolver failed: dgeev info {ints[5]}")
+    return wr_wi[0] + 1j * wr_wi[1], vr
+
+
+def _eigensolve(subs):
+    """``_block_eig`` of every block, up to one thread per block, each at one BLAS thread.
+
+    The calling thread solves the first block and a worker each further one,
+    up to numpy's BLAS thread count, which is set to 1 meanwhile (for the
+    whole process: other threads' BLAS calls run at one thread too).  A
+    single block, or no bound ``dgeev``, is solved on the calling thread at
+    the process's thread count.
+    """
+    workers = min(len(subs), _BLAS_THREADS()) if _DGEEV is not None else 1
+    if workers < 2:
+        return [_block_eig(sub) for sub in subs]
+    with _BLAS_LOCK:
+        threads = _SET_BLAS_THREADS(1)
+        try:
+            with ThreadPoolExecutor(workers - 1) as pool:
+                rest = pool.map(_block_eig, subs[1:])
+                return [_block_eig(subs[0]), *rest]
+        finally:
+            _SET_BLAS_THREADS(threads)
+
+
+def _pack(lam_b, vr):
+    """Sorted eigenvalues of one block, their partners and the packed eigenvector matrix.
+
+    The packed REAL matrix (C order: GEMM rounding depends on layout) holds a
+    in the Im > 0 column of a pair a +- ib and b in its partner's, so that its
+    real inverse keeps real modes exactly real and paired modes exactly
+    conjugate.  Partners are found within a block, so that an exact
+    degeneracy across blocks cannot pair vectors with different supports.
+    """
     order_b = _sort_order(lam_b)
     lam_b = lam_b[order_b]
     partners_b = _conjugate_partners(lam_b)
     up = np.flatnonzero(lam_b.imag > 0)
-    packed = np.take(v_b.real, order_b, axis=1)  # C order: GEMM rounding depends on layout
-    packed[:, partners_b[up]] = v_b.imag[:, order_b[up]]
+    src = order_b - (lam_b.imag < 0)  # an Im < 0 member's a is its LAPACK mate's column
+    src[partners_b[up]] = order_b[up] + 1
+    packed = _mapped(vr.shape)
+    np.take(vr, src, axis=1, out=packed, mode="clip")  # "clip": no buffered copy
     return lam_b, partners_b, packed
 
 
@@ -549,9 +655,9 @@ def decompose(
     sparse; a generator that does not preserve Hermiticity raises
     ``NotHermitian``.  Each connected block of the real matrix (its nonzero
     pattern as a graph) is kept as a sparse CSC matrix; a dense copy of it
-    lives only for its eigensolve (``np.linalg.eig``), and the eigenvalues
-    of all blocks are merged into one sorted spectrum.  Then each block is
-    finished in real arithmetic (``_finish_block``): from its packed
+    lives only for its eigensolve (``_eigensolve``, the blocks at once), and
+    the eigenvalues of all blocks are merged into one sorted spectrum.  Then
+    each block is finished in real arithmetic (``_finish_block``): from its packed
     eigenvector matrix and the real inverse, the polish of its slow modes
     (a sparse LU of the shifted sparse block), the trace, pairing and phase
     normalizations and the biorthonormality product all act on the real
@@ -585,12 +691,14 @@ def decompose(
     lr = lr.real
     lr.eliminate_zeros()
 
-    # (basis rows, sparse block of lr, sorted eigenvalues, partners, packed eigenvectors)
-    blocks = []
-    for rows in _blocks(lr, basis):
-        sub = lr[rows][:, rows].tocsc()
-        blocks.append([rows, sub, *_block_eig(sub)])
-    del lr, sub
+    # (basis rows, sparse block of lr, sorted eigenvalues, partners, packed
+    # eigenvectors); each block's VR is freed once it is packed
+    block_rows = _blocks(lr, basis)
+    subs = [lr[rows][:, rows].tocsc() for rows in block_rows]
+    del lr
+    eigs = _eigensolve(subs)
+    blocks = [[rows, sub, *_pack(*eigs.pop(0))] for rows, sub in zip(block_rows, subs)]
+    del subs
 
     # the stable global sort keeps each block's modes in their block order,
     # so modes[b] lists block b's global mode indices in its own order
@@ -617,7 +725,6 @@ def decompose(
     # block is released before the next block's are made
     leading_left = np.stack([np.eye(d, dtype=complex), np.zeros((d, d))])
     stationary = np.zeros((d, d), dtype=complex)
-    block_rows = [block[0] for block in blocks]
     units_b, norms, residuals, supports = zip(*[
         _finish_block(block, pos, lam, scale, basis, leading_left[1], stationary)
         for block, pos in zip(blocks, modes)])

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -38,6 +41,7 @@ from qmpemba.errors import (
     DegenerateSlowMode,
     DegenerateStationaryState,
     IllConditionedBasis,
+    NoConvergence,
     NotHermitian,
     NotHermitianSlowMode,
 )
@@ -116,15 +120,15 @@ class TestBlocks:
         m = d * d
         reference = sla.eigvals(sup.matrix.toarray())
 
-        sizes = []
-        eig = np.linalg.eig
+        sizes = []  # one entry per block eigensolve, from whichever thread runs it
+        block_eig = spectral._block_eig
 
-        def recording_eig(a, *args, **kwargs):
-            sizes.append(a.shape[0])
-            return eig(a, *args, **kwargs)
+        def recording_eig(sub):
+            sizes.append(sub.shape[0])
+            return block_eig(sub)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectral.np.linalg, "eig", recording_eig)
+            mp.setattr(spectral, "_block_eig", recording_eig)
             try:
                 dec = decompose(sup)
                 lam = dec.eigenvalues
@@ -251,6 +255,149 @@ class TestPolish:
         n = block.shape[0]
         assert spectral._refine_pair(sp.csc_matrix(block), lam, np.ones(n, dtype=complex),
                                      np.ones(n, dtype=complex), 0.0) is None
+
+
+def _packed_from_numpy_eig(a):
+    """Sorted eigenvalues, partners and packed matrix, built from ``np.linalg.eig``'s output.
+
+    The Im column of a pair is the imaginary part of the Im > 0 member's own
+    eigenvector, which is LAPACK's column j + 1 of that pair.
+    """
+    lam, v = np.linalg.eig(a)
+    lam = lam.astype(complex)
+    order = spectral._sort_order(lam)
+    partners = spectral._conjugate_partners(lam[order])
+    up = np.flatnonzero(lam[order].imag > 0)
+    packed = np.take(v.real, order, axis=1)
+    packed[:, partners[up]] = v.imag[:, order[up]]
+    return lam[order], partners, packed
+
+
+_PAIR = np.array([[1.0, 2.0], [-2.0, 1.0]])  # 1 +- 2i, already in real Schur form
+EIG_CASES = {
+    "pairs": np.random.default_rng(7).normal(size=(9, 9)),
+    "all-real": np.triu(np.random.default_rng(8).normal(size=(6, 6))),
+    "1x1": np.array([[-0.5]]),
+    "repeated-pair": sla.block_diag(_PAIR, [[-0.5]], _PAIR),
+}
+
+
+def _blas_state():
+    """numpy's BLAS thread count (None without the binding) and the live Python threads."""
+    return (spectral._BLAS_THREADS() if spectral._BLAS_THREADS else None), threading.active_count()
+
+
+class TestEigensolve:
+    """The block eigensolve: numpy's ``dgeev`` through ``ctypes``, concurrent across blocks."""
+
+    @pytest.mark.parametrize("bound", [True, False])
+    @pytest.mark.parametrize("case", EIG_CASES)
+    def test_packed_matrix_matches_numpy_eig(self, case, bound, monkeypatch):
+        a = EIG_CASES[case]
+        if not bound:
+            monkeypatch.setattr(spectral, "_DGEEV", None)
+        lam, partners, packed = spectral._pack(*spectral._block_eig(sp.csc_matrix(a)))
+        ref_lam, ref_partners, ref_packed = _packed_from_numpy_eig(a)
+        assert (np.count_nonzero(lam.imag) > 0) == (case in ("pairs", "repeated-pair"))
+        if case == "repeated-pair":
+            assert np.count_nonzero(lam == lam[1]) == 2  # exactly repeated
+        assert np.array_equal(lam, ref_lam)
+        assert np.array_equal(partners, ref_partners)
+        assert packed.flags.c_contiguous
+        assert np.max(np.abs(packed - ref_packed)) <= 1e-13
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_non_finite_block_raises(self, bad):
+        # block 0 runs on the calling thread and block 1 on a worker
+        before = _blas_state()
+        good = sp.csc_matrix(EIG_CASES["pairs"])
+        broken = good.copy()
+        broken.data[3] = np.nan
+        subs = [good, good]
+        subs[bad] = broken
+        with pytest.raises(NoConvergence):
+            spectral._eigensolve(subs)
+        with pytest.raises(NoConvergence):
+            spectral._eigensolve([broken])
+        assert _blas_state() == before
+
+    def test_identical_blocks(self):
+        sub = sp.csc_matrix(np.random.default_rng(9).normal(size=(40, 40)))
+        (lam, vr), *rest = spectral._eigensolve([sub, sub.copy(), sub])
+        for lam_c, vr_c in rest:
+            assert np.array_equal(lam_c, lam) and np.array_equal(vr_c, vr)
+
+    def test_decompose_restores_blas_threads(self):
+        before = _blas_state()
+        sup = build_liouvillian(dicke_model(DICKE_REF, 6))
+        decompose(sup)
+        broken = sup.matrix.copy()
+        broken.data[0] = np.nan
+        with pytest.raises(NoConvergence):
+            decompose(Superoperator(matrix=broken, kind="generator"))
+        assert _blas_state() == before
+
+    def test_mapped_bytes_count_without_lost_updates(self):
+        # buffers made and freed on more threads than cores, switching often
+        live = spectral._MAPPED["live"]
+
+        def churn(k):
+            for i in range(2000):
+                spectral._mapped((k + 1, i % 7 + 1))
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                assert all(pool.map(churn, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert spectral._MAPPED["live"] == live
+        assert spectral._MAPPED["peak"] >= live + 8
+
+    def test_decompose_from_two_threads(self):
+        # each concurrent eigensolve sets and restores the process's count
+        before = _blas_state()
+        sup = build_liouvillian(dicke_model(DICKE_REF, 6))
+        lam = decompose(sup).eigenvalues
+        with ThreadPoolExecutor(2) as pool:
+            for dec in pool.map(lambda _: decompose(sup), range(6), timeout=60):
+                assert np.max(np.abs(dec.eigenvalues - lam)) <= 1e-12 * np.max(np.abs(lam))
+        assert _blas_state() == before
+
+    @pytest.mark.parametrize("name", ["dicke", "all-to-all"])
+    def test_unbound_fallback_gives_the_same_spectrum(self, name, monkeypatch):
+        model = dicke_model(DICKE_REF, 6) if name == "dicke" else all_to_all_model(ALL_TO_ALL_REF, 6)
+        sup = build_liouvillian(model)
+        lam = decompose(sup).eigenvalues
+        calls = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(spectral, "_DGEEV", None)
+        monkeypatch.setattr(spectral.np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+        dec = decompose(sup)
+        assert len(calls) == len(dec.blocks)
+        assert np.max(np.abs(dec.eigenvalues - lam)) <= 1e-12 * np.max(np.abs(lam))
+
+    def test_numpy_openblas_is_bound(self, monkeypatch):
+        # a numpy that renames a symbol would otherwise fall back silently
+        # to sequential np.linalg.eig calls and lose the concurrency
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if blas.get("name") != "scipy-openblas":
+            pytest.skip(f"numpy links {blas.get('name')}, not scipy-openblas")
+        assert spectral._DGEEV is not None
+        threads = []
+        block_eig = spectral._block_eig
+
+        def recording(sub):
+            threads.append(threading.get_ident())
+            return block_eig(sub)
+
+        monkeypatch.setattr(spectral, "_block_eig", recording)
+        dec = decompose(build_liouvillian(dicke_model(DICKE_REF, 6)))
+        assert len(threads) == len(dec.blocks) == 2
+        if spectral._BLAS_THREADS() > 1:
+            assert len(set(threads)) == 2
 
 
 class TestOneBlasPool:
@@ -515,23 +662,41 @@ class TestStorage:
         self._assert_packed_only(made[0])
 
     @pytest.mark.parametrize("name", ["dicke", "all-to-all"])
-    def test_decompose_peak_memory_n20(self, name):
-        # the traced peak of decompose in dense-block equivalents 8 n_max^2
-        # bytes, n_max the largest block (221 on dicke, 441 on all-to-all).
-        # Finishing each block in complex arithmetic peaked at 12.9 (dicke)
-        # and 10.5 (all-to-all); the real finish measures 6.4 and 4.1
+    def test_decompose_peak_memory_n20(self, name, monkeypatch):
+        # the peak of decompose in dense-block equivalents 8 n_max^2 bytes,
+        # n_max the largest block (221 on dicke, 441 on all-to-all), over the
+        # traced heap plus the mapped eigensolve buffers, which tracemalloc
+        # does not see: at every change of the mapped bytes, the traced peak
+        # since the previous change is added to the mapped bytes live
+        # meanwhile.  Finishing each block in complex arithmetic peaked at
+        # 12.9 (dicke) and 10.5 (all-to-all); the real finish measured 6.4
+        # and 4.1, and with the mapped eigensolve 6.4 and 3.9.  The two peaks
+        # summed would read 11.5 and 6.2, but they are never live at once
         model = dicke_model(DICKE_REF, 20) if name == "dicke" else all_to_all_model(ALL_TO_ALL_REF, 20)
         sup = build_liouvillian(model)
+        count, live, peak = spectral._count_mapped, spectral._MAPPED["live"], [0]
+
+        def counted(nbytes):
+            traced = tracemalloc.get_traced_memory()[1] - base
+            peak[0] = max(peak[0], traced + spectral._MAPPED["live"] - live)
+            tracemalloc.reset_peak()
+            count(nbytes)
+
+        monkeypatch.setattr(spectral, "_count_mapped", counted)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
+            spectral._MAPPED["peak"] = live
             dec = decompose(sup)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            counted(0)
         finally:
             tracemalloc.stop()
         n_max = max(modes.size for modes, _ in dec.blocks)
-        assert peak <= 8.0 * 8 * n_max**2
+        assert peak[0] <= 8.0 * 8 * n_max**2
+        assert spectral._MAPPED["live"] == live  # every mapped buffer is unmapped
+        if spectral._DGEEV is not None:  # the mapped block and VR were counted
+            assert spectral._MAPPED["peak"] - live >= 2 * 8 * n_max**2
 
     def test_full_arrays_expand_the_packed_form(self, all_to_all6):
         _, dec = all_to_all6
