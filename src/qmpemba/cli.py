@@ -5,7 +5,8 @@ output directory (``<out>/<figure>`` for ``reproduce``); every failure after
 that directory is known writes a machine-readable ``error.json`` there.
 Files are written atomically (temp file + rename) and floats are serialized
 with 17 significant digits, so identical configurations reproduce identical
-bytes.
+bytes at one BLAS thread count; last digits can change with that count, and
+for a one-block generator (all-to-all) the spectrum and handoffs too.
 
 Exit codes: 0 success, 1 failed reproduction assertions, 2 violated spectral
 assumptions, 3 numerical failure, 4 configuration error.

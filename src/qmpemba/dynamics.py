@@ -76,6 +76,7 @@ class TimeGrid:
 
     @classmethod
     def linear(cls, t_start: float, t_stop: float, n: int) -> "TimeGrid":
+        cls(points=[t_start, t_stop])  # the endpoints checked before numpy spaces them
         return cls(points=np.linspace(t_start, t_stop, n))
 
     @classmethod
@@ -84,6 +85,7 @@ class TimeGrid:
     ) -> "TimeGrid":
         if t_start <= 0:
             raise ValueError("geometric grid needs t_start > 0")
+        cls(points=[t_start, t_stop])  # the endpoints checked before numpy spaces them
         pts = np.geomspace(t_start, t_stop, n - 1 if include_zero else n)
         if include_zero:
             pts = np.concatenate([[0.0], pts])
@@ -135,7 +137,7 @@ def evolve_spectral_grid(dec: SpectralDecomposition, rho0, grid: TimeGrid) -> np
     exactly Hermitian states.  Nothing is kept between calls.
     """
     rho0 = _check_density(rho0, dec.dim)
-    rows = _mode_sum_rows(dec, rho0, grid.points)
+    rows = _mode_sum_rows(dec, _coefficients(dec, dec.packed.coordinates(rho0)), grid.points)
     rows += _stationary_term(dec, rho0)
     return dec.packed.hermitian(rows)
 
@@ -144,23 +146,23 @@ def _stationary_term(dec: SpectralDecomposition, rho0: np.ndarray) -> np.ndarray
     return dec.packed.stationary * np.einsum("ij,ji->", dec.leading_left[0], rho0).real
 
 
-def _mode_sum_rows(dec: SpectralDecomposition, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Coordinates of ``rho(t) - Tr(rho0) rho_ss``, one row per time, for a checked ``rho0``.
+def _mode_sum_rows(dec: SpectralDecomposition, coefficients: list, times: np.ndarray) -> np.ndarray:
+    """Coordinates of ``rho(t) - Tr(rho0) rho_ss``, one row per time.
 
     Sums ``sum_{k>1} exp(t lam_k) Tr(l_k rho0) r_k`` on the packed modes of
-    ``dec.packed``, in its coordinate layout.  A unit, a real mode or a
-    conjugate pair, has the coefficient ``z = c e^{lam t} = P + iQ``, and the
-    float view of a chunk's coefficients meets each unit's two real rows (a
-    real mode's Q is 0 and so is its second row).  So every block writes one
-    real product per chunk of grid times straight into its slice of the
-    chunk's rows, over the prefix of its units that ``_active_prefix``
-    counts at the chunk's first time.
+    ``dec.packed``, in its coordinate layout, from the ``_coefficients`` of
+    ``rho0``.  A unit, a real mode or a conjugate pair, has the coefficient
+    ``z = c e^{lam t} = P + iQ``, and the float view of a chunk's
+    coefficients meets each unit's two real rows (a real mode's Q is 0 and so
+    is its second row).  So every block writes one real product per chunk of
+    grid times straight into its slice of the chunk's rows, over the prefix
+    of its units that ``_active_prefix`` counts at the chunk's first time.
     """
     plan = dec.packed
     starts = times[::_MODE_SUM_CHUNK]
     terms = [
         (coords, lam, right, c, _active_prefix(weight, lam.real, starts))
-        for (coords, lam, _, right, _), (c, weight) in zip(plan.blocks, _coefficients(dec, rho0))
+        for (coords, lam, _, right, _), (c, weight) in zip(plan.blocks, coefficients)
     ]
     rows = np.empty((times.size, plan.stationary.size))
     for k, start in enumerate(range(0, times.size, _MODE_SUM_CHUNK)):
@@ -174,12 +176,10 @@ def _mode_sum_rows(dec: SpectralDecomposition, rho0: np.ndarray, times: np.ndarr
     return rows
 
 
-def _coefficients(dec: SpectralDecomposition, rho0: np.ndarray) -> list:
-    """Per block of ``dec.packed``: ``c_u = Tr(l_u rho0)`` and the weights ``|c_u| peak_u``."""
-    plan = dec.packed
-    x = plan.coordinates(rho0)
+def _coefficients(dec: SpectralDecomposition, x: np.ndarray) -> list:
+    """Per block: ``c_u = Tr(l_u rho0)`` and ``|c_u| peak_u``, from the coordinates x of rho0."""
     out = []
-    for coords, _, left, _, peak in plan.blocks:
+    for coords, _, left, _, peak in dec.packed.blocks:
         c = (left @ x[coords]).view(complex)
         out.append((c, np.abs(c) * peak))
     return out
@@ -350,12 +350,12 @@ def _record(dec, rows, grid, source, handoff, matvecs) -> TrajectoryRecord:
 
 
 def _real_generator(dec: SpectralDecomposition):
-    """``(A, mu, |A|_1)``: ``dec.generator`` in the coordinates of ``dec.packed``, less ``mu I``.
+    """``(A, mu, |A|_1)``: the real generator of ``dec.packed``, less ``mu I``.
 
     ``mu`` is the mean of the diagonal, the shift of Al-Mohy & Higham that
     lowers the 1-norm the Taylor steps are planned from.
     """
-    a = (dec.packed.basis_conj @ dec.generator @ dec.packed.basis.T).real
+    a = dec.packed.generator
     mu = float(a.diagonal().mean())
     a = a - mu * sp.identity(a.shape[0], format="csr")
     return a, mu, float(abs(a).sum(axis=0).max())
@@ -400,11 +400,11 @@ def robust_trajectory(
     but near t=0 its reconstruction defect can be large when the eigenvector
     basis is close to defective.  One loop walks the grid from its first
     point, carrying the exact state: rho0 itself at t=0, and after that the
-    exact exponential action of ``dec.generator``, the very CSR matrix that
-    was decomposed, so no generator is built here; ``model`` is the model
-    that ``dec`` was decomposed from.  At the first grid time where the exact
-    state and the mode sum agree to ``AGREEMENT_TOL``, the mode sum takes
-    over; the agreement check makes the handoff self-validating.
+    exact exponential action of ``dec.packed.generator``, so no generator is
+    built here.  ``model`` is unread, kept for callers that pass it by
+    position.  At the first grid time where the exact state and the mode sum
+    agree to ``AGREEMENT_TOL``, the mode sum takes over; the agreement check
+    makes the handoff self-validating.
 
     The trajectory is held as one real array of rows of ``rho(t) - rho_ss``
     in the basis coordinates of ``HermitianModes``: the mode sum's rows as
@@ -434,11 +434,13 @@ def robust_trajectory(
     """
     rho0 = _check_density(rho0, dec.dim)
     plan = dec.packed
-    rows = _mode_sum_rows(dec, rho0, grid.points)
+    x = plan.coordinates(rho0)
+    coefficients = _coefficients(dec, x)
+    rows = _mode_sum_rows(dec, coefficients, grid.points)
     stationary = _stationary_term(dec, rho0)
-    weight = sum(float(w.sum()) for _, w in _coefficients(dec, rho0))
+    weight = sum(float(w.sum()) for _, w in coefficients)
     certified = dec.diagnostics.biorthonormality_residual * weight <= AGREEMENT_TOL
-    x, t_prev, handoff = plan.coordinates(rho0), 0.0, None
+    t_prev, handoff = 0.0, None
     generator, matvecs = None, 0
     for i, t in enumerate(grid.points):
         if t > t_prev:
@@ -469,8 +471,8 @@ def fit_start(dec: SpectralDecomposition, rho0, grid: TimeGrid, slow: int) -> Op
     target = lam[slow] if lam[slow].imag >= 0 else np.conj(lam[slow])
     t = grid.points
     rest, own = np.zeros(t.size), np.zeros(t.size)
-    coefficients = _coefficients(dec, _check_density(rho0, dec.dim))
-    for (modes, _), (_, lam_u, *_), (_, w) in zip(dec.blocks, dec.packed.blocks, coefficients):
+    x = dec.packed.coordinates(_check_density(rho0, dec.dim))
+    for modes, (_, lam_u, *_), (_, w) in zip(dec.blocks, dec.packed.blocks, _coefficients(dec, x)):
         if slow in modes:
             u = int(np.flatnonzero(lam_u == target)[0])
             own = w[u] * np.exp(lam_u[u].real * t)

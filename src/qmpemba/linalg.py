@@ -5,11 +5,11 @@ order is fixed package-wide.  Two LAPACK-backed routines live here, both on
 numpy's LAPACK so that one OpenBLAS thread pool serves the whole process
 (``spectral`` calls numpy's ``dgeev`` itself, concurrently per block): a
 Hermitian eigensolver for complex matrices, whose result is residual-checked
-before it is returned, and a Newton-refined inverse of the real packed
-eigenvector matrix, from whose rows the left modes are taken so that the
-pairing ``W @ V = 1`` holds to solver accuracy.  The inverse starts from the
-transposed solve ``V^T W^T = I``, which makes every row of W a
-backward-stable left-inverse row.
+before it is returned, and the inverse of the real packed eigenvector
+matrix, from whose rows the left modes are taken so that the pairing
+``W @ V = 1`` holds to solver accuracy.  The inverse is the transposed solve
+``V^T W^T = I``, which makes every row of W a backward-stable left-inverse
+row; its Newton loop stops after the first residual, so it refines nothing.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def hermitian_eig(a) -> HermitianEig:
 
 
 def refined_inverse(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Inverse of ``v`` with Newton refinement of the residual ``1 - W V``.
+    """Inverse of ``v`` and its residual ``max|1 - W V|``; no Newton step is taken.
 
     The start is ``np.linalg.inv(v.T).T``: LU with partial pivoting solves
     ``V^T W^T = I`` column by column, so each row ``w_i`` of W is the exact
@@ -100,10 +100,10 @@ def refined_inverse(v: np.ndarray) -> tuple[np.ndarray, float]:
     times the condition number.  The plain ``np.linalg.inv(v)`` makes the
     columns backward stable instead, which bounds ``V W - 1`` but not
     ``1 - W V``: on an ill-conditioned eigenvector matrix the left pairing
-    it gives is orders of magnitude worse.  Then ``W <- W + (1 - W V) W``
-    iterates until the measured residual stops improving; for
-    ill-conditioned bases the achievable floor scales with the basis
-    condition number times machine epsilon.
+    it gives is orders of magnitude worse.  The loop below was meant to
+    iterate ``W <- W + (1 - W V) W`` while the measured residual halves, but
+    its stop test compares the first residual with itself, so it returns
+    the start and that residual after one residual product.
     """
     n = v.shape[0]
     try:

@@ -19,9 +19,9 @@ N=40 the dicke generator splits into blocks of 841 and 840 (the parity of
 i - j); the all-to-all generator stays one block of 1681.
 
 Each block is kept sparse and densified only for its eigensolve.  Left
-modes are rows of the (Newton-refined) inverse of the right eigenvector
-matrix, so ``Tr(l_k r_h) = delta_kh`` holds to solver accuracy by
-construction.  The few slowest modes, which carry all the downstream physics,
+modes are rows of the inverse of the right eigenvector matrix, so
+``Tr(l_k r_h) = delta_kh`` holds to solver accuracy by construction.
+The few slowest modes, which carry all the downstream physics,
 are additionally polished by shifted inverse iteration on the sparse block,
 with a sparse LU.  Every dense LAPACK call runs on numpy's OpenBLAS: scipy
 loads a second OpenBLAS, whose thread pool would spin against numpy's on the
@@ -123,7 +123,8 @@ class HermitianModes:
     ``hermitian`` maps rows back through the same sparse map, into exactly
     Hermitian matrices.  The basis is orthonormal, so the Hilbert-Schmidt
     norm of X is the Euclidean norm of x (``norms``), and
-    ``Tr(ell X) = trace_row(ell) . x``.
+    ``Tr(ell X) = trace_row(ell) . x``.  ``generator`` is the real generator
+    in these coordinates: the CSR block-diagonal matrix of the solved blocks.
 
     A unit is a real mode or the Im lambda > 0 member of a conjugate pair.
     The Im lambda < 0 partner is dropped: it is the exact adjoint, so with
@@ -145,17 +146,18 @@ class HermitianModes:
     basis: sp.csr_matrix
     blocks: tuple
     stationary: np.ndarray
+    generator: sp.csr_matrix
 
     @classmethod
     def assemble(cls, basis: sp.csr_matrix, rows: list, blocks: list,
-                 stationary_state: np.ndarray):
+                 stationary_state: np.ndarray, generator: sp.csr_matrix):
         """The packed form from each block's basis rows and ``(lam, left, right, peak)``."""
         stops = np.cumsum([r.size for r in rows])
         blocks = [(slice(stop - r.size, stop), *units)
                   for r, stop, units in zip(rows, stops, blocks)]
         basis = basis[np.concatenate(rows)]
         return cls(basis=basis, blocks=tuple(blocks),
-                   stationary=(basis.conj() @ vec(stationary_state)).real)
+                   stationary=(basis.conj() @ vec(stationary_state)).real, generator=generator)
 
     @cached_property
     def basis_conj(self) -> sp.csr_matrix:
@@ -208,16 +210,11 @@ class SpectralDecomposition:
     ``stationary_state``.  A copy made with ``dataclasses.replace`` expands
     its own fields.
 
-    ``blocks`` holds one ``(modes, support)`` pair of index arrays per
-    connected block of the generator: the block's global mode indices, in
-    ascending order and so sorted by ``|Re lambda|``, and the ascending
-    column-stacking positions ``i + j d`` of its support.  The supports are
-    disjoint and every right and left mode of a block is exactly zero outside
-    its support, so a mode sum can run block by block over the support alone.
-
-    ``generator`` is the CSR generator matrix that was decomposed, the same
-    object as the input's ``matrix`` (a reference, not a copy), so that a
-    trajectory can propagate with exactly the decomposed generator.
+    ``blocks`` holds the global mode indices of each connected block of the
+    generator, in ascending order and so sorted by ``|Re lambda|``, in the
+    order of ``packed.blocks``.  Every right and left mode of a block is
+    exactly zero outside the column-stacking support of that block's basis
+    rows, and the supports of different blocks are disjoint.
     """
 
     eigenvalues: np.ndarray
@@ -228,7 +225,6 @@ class SpectralDecomposition:
     tau: float
     gap3: float
     diagnostics: Diagnostics
-    generator: sp.csr_matrix
 
     @property
     def dim(self) -> int:
@@ -252,7 +248,7 @@ def _full_modes(dec: SpectralDecomposition, left: bool) -> np.ndarray:
     """
     lam, packed = dec.eigenvalues, dec.packed
     out = np.zeros((lam.size, dec.dim, dec.dim), dtype=complex)
-    for (modes, _), (coords, lam_u, l_rows, r_rows, _) in zip(dec.blocks, packed.blocks):
+    for modes, (coords, lam_u, l_rows, r_rows, _) in zip(dec.blocks, packed.blocks):
         rows = np.zeros((2 * lam_u.size, packed.stationary.size))
         rows[:, coords] = l_rows if left else r_rows
         h = packed.hermitian(rows)
@@ -265,7 +261,7 @@ def _full_modes(dec: SpectralDecomposition, left: bool) -> np.ndarray:
         out[:2] = dec.leading_left
     else:
         out[0] = dec.stationary_state
-    for modes, _ in dec.blocks:
+    for modes in dec.blocks:
         partners = modes[_conjugate_partners(lam[modes])]
         down = lam[modes].imag < 0
         out[modes[down]] = out[partners[down]].conj().transpose(0, 2, 1)
@@ -545,7 +541,7 @@ def _scale_units(rows, c):
 
 
 def _finish_block(block, pos, lam, scale, basis, ell2, stationary):
-    """Finish one block in real arithmetic: its packed units, 1-norms, residual and support.
+    """Finish one block in real arithmetic: its packed units, 1-norms and residual.
 
     ``block`` holds the block's basis rows, sparse block, sorted eigenvalues,
     partners and packed eigenvector matrix V (``_block_eig``); it is emptied
@@ -632,7 +628,7 @@ def _finish_block(block, pos, lam, scale, basis, ell2, stationary):
         stationary.reshape(-1)[support] = right[0] @ conj_basis
     units = (lam[pos[keep[first:]]], lu.reshape(-1, n), ru.reshape(-1, n),
              _largest_entries(ru, conj_basis)[0])
-    return units, norms, residual, support
+    return units, norms, residual
 
 
 def decompose(
@@ -664,7 +660,7 @@ def decompose(
     rows of ``HermitianModes``, the only mode storage of the result.  No
     complex n_b x n_b and no m x d x d array is formed.  At N=40 the dicke
     generator splits into blocks of 841 and 840; the all-to-all generator
-    is one block of 1681.  The result keeps ``sup.matrix`` as ``generator``.
+    is one block of 1681; ``packed.generator`` keeps the blocks in one CSR.
 
     Violated assumptions raise ``ComplexSlowMode`` or ``DegenerateSlowMode``
     with the finished decomposition attached.  A degenerate zero eigenvalue
@@ -698,6 +694,7 @@ def decompose(
     del lr
     eigs = _eigensolve(subs)
     blocks = [[rows, sub, *_pack(*eigs.pop(0))] for rows, sub in zip(block_rows, subs)]
+    generator = sp.block_diag(subs, format="csr")
     del subs
 
     # the stable global sort keeps each block's modes in their block order,
@@ -725,7 +722,7 @@ def decompose(
     # block is released before the next block's are made
     leading_left = np.stack([np.eye(d, dtype=complex), np.zeros((d, d))])
     stationary = np.zeros((d, d), dtype=complex)
-    units_b, norms, residuals, supports = zip(*[
+    units_b, norms, residuals = zip(*[
         _finish_block(block, pos, lam, scale, basis, leading_left[1], stationary)
         for block, pos in zip(blocks, modes)])
     # the 1-norm of a block-diagonal matrix is the largest of its blocks'
@@ -763,14 +760,13 @@ def decompose(
     )
     dec = SpectralDecomposition(
         eigenvalues=lam,
-        packed=HermitianModes.assemble(basis, block_rows, units_b, stationary),
+        packed=HermitianModes.assemble(basis, block_rows, units_b, stationary, generator),
         leading_left=leading_left,
-        blocks=tuple(zip(modes, supports)),
+        blocks=tuple(modes),
         stationary_state=stationary,
         tau=tau,
         gap3=gap3,
         diagnostics=diagnostics,
-        generator=mat,
     )
     if not flags.slow_mode_real:
         raise ComplexSlowMode(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -53,8 +54,8 @@ def _with_right_mode(dec, k, r):
     doubled for a pair, as ``HermitianModes`` lays them out.
     """
     plan, lam = dec.packed, dec.eigenvalues
-    b = next(b for b, (modes, _) in enumerate(dec.blocks) if k in modes)
-    modes = dec.blocks[b][0]
+    b = next(b for b, modes in enumerate(dec.blocks) if k in modes)
+    modes = dec.blocks[b]
     u = int(np.flatnonzero(modes[(lam[modes].imag >= 0) & (modes != 0)] == k)[0])
     coords, lam_u, left, right, peak = plan.blocks[b]
     right, peak = right.copy(), peak.copy()
@@ -91,14 +92,22 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(points=np.array([-1.0, 1.0]))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_points(self, bad):
-        with pytest.raises(ValueError):
-            TimeGrid(points=np.array([0.0, bad]))
-        with pytest.raises(ValueError):
-            TimeGrid(points=np.array([0.0, 1.0, bad]))
-        with pytest.raises(ValueError):
-            TimeGrid.linear(0.0, bad, 5)
+        # rejected before numpy spaces the points, so with no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                TimeGrid(points=np.array([0.0, bad]))
+            with pytest.raises(ValueError, match="finite"):
+                TimeGrid(points=np.array([0.0, 1.0, bad]))
+            for start, stop in ((0.0, bad), (bad, 1.0)):
+                with pytest.raises(ValueError, match="finite"):
+                    TimeGrid.linear(start, stop, 5)
+            with pytest.raises(ValueError, match="finite"):
+                TimeGrid.geometric(0.1, bad, 5, include_zero=True)
+            with pytest.raises(ValueError, match="t_start > 0" if bad < 0 else "finite"):
+                TimeGrid.geometric(bad, 1.0, 5)
 
 
 class TestEvolveSpectral:
@@ -317,7 +326,6 @@ class TestTrajectories:
         model, _ = all_to_all6
         sup = build_liouvillian(model)
         dec = decompose(sup)
-        assert dec.generator is sup.matrix
         rho0 = random_density(dec.dim, RNG)
         grid = TimeGrid.linear(0.0, 6.0, 13)
         monkeypatch.setattr(dynamics, "AGREEMENT_TOL", -1.0)  # the routes never agree
@@ -329,6 +337,27 @@ class TestTrajectories:
         gen = sup.matrix.toarray()
         exact = [unvec(sla.expm(t * gen) @ vec(rho0)) for t in grid.points]
         assert np.max(np.abs(_recorded_states(dec, record) - exact)) < 1e-10
+
+    @pytest.mark.parametrize("tol", [AGREEMENT_TOL, -1.0])
+    def test_state_is_mapped_once(self, dicke6, monkeypatch, tol):
+        # rho0 goes to coordinates and coefficients once, on a trajectory that
+        # hands off at t=0 and on one that never hands off
+        model, dec = dicke6
+        coordinates = spectral.HermitianModes.coordinates
+        mapped = []
+
+        def counted(self, x):
+            mapped.append(1)
+            return coordinates(self, x)
+
+        monkeypatch.setattr(dynamics, "AGREEMENT_TOL", tol)
+        monkeypatch.setattr(spectral.HermitianModes, "coordinates", counted)
+        with mock.patch.object(dynamics, "_coefficients", wraps=dynamics._coefficients) as coeff:
+            traj = robust_trajectory(model, dec, random_density(dec.dim, RNG),
+                                     TimeGrid.linear(0.0, 4.0, 9))
+        assert traj.source == ("spectral" if tol > 0 else "hybrid")
+        coeff.assert_called_once()
+        assert len(mapped) == 1
 
 
 class TestHybridTrajectory:
@@ -402,8 +431,9 @@ class TestTaylorStepper:
         # grid runs from 1e-3 up to about that
         rng = np.random.default_rng(seed)
         model = random_lindblad_model(d, n_jumps, rng)
+        sup = build_liouvillian(model)
         try:
-            dec = decompose(build_liouvillian(model))
+            dec = decompose(sup)
         except AssumptionViolation as exc:
             dec = exc.decomposition
         rho0 = random_density(d, rng)
@@ -419,7 +449,7 @@ class TestTaylorStepper:
             traj = robust_trajectory(model, dec, rho0, grid)
         assert traj.handoff_time is None and traj.exact_matvecs > 0
         real.assert_called_once()
-        plan, gen = dec.packed, dec.generator.toarray()
+        plan, gen = dec.packed, sup.matrix.toarray()
         exact = [plan.coordinates(unvec(sla.expm(t * gen) @ vec(rho0))) for t in grid.points]
         rows = record.call_args.args[1] + plan.stationary
         assert np.max(np.abs(rows - exact)) < 1e-10
@@ -481,12 +511,14 @@ class TestActiveModeSum:
         right = dec.right_modes.transpose(0, 2, 1).reshape(m, -1)  # rows vec(r_k)
         left = dec.left_modes.reshape(m, -1)  # rows w_k with Tr(l_k X) = w_k . vec(X)
 
-        # the block invariants the block-wise sum relies on
-        modes = np.concatenate([block[0] for block in dec.blocks])
-        supports = np.concatenate([block[1] for block in dec.blocks])
+        # the block invariants the block-wise sum relies on: the column-stacking
+        # supports of the blocks' basis rows are disjoint
+        plan = dec.packed
+        supports = [np.unique(plan.basis[coords].indices) for coords, *_ in plan.blocks]
+        modes = np.concatenate(dec.blocks)
         assert np.array_equal(np.sort(modes), np.arange(m))
-        assert np.unique(supports).size == supports.size
-        for block_modes, support in dec.blocks:
+        assert np.unique(np.concatenate(supports)).size == sum(s.size for s in supports)
+        for block_modes, support in zip(dec.blocks, supports):
             outside = np.setdiff1d(np.arange(m), support)
             assert not np.any(right[np.ix_(block_modes, outside)])
             assert not np.any(left[np.ix_(block_modes, outside)])
@@ -565,7 +597,8 @@ class TestHermitianModes:
         assume(dec is not None)  # no unique stationary state
         lam = dec.eigenvalues
         plan = dec.packed
-        for (modes, support), (coords, units, left, right, peak) in zip(dec.blocks, plan.blocks):
+        for modes, (coords, units, left, right, peak) in zip(dec.blocks, plan.blocks):
+            support = np.unique(plan.basis[coords].indices)
             assert coords.stop - coords.start == support.size
             assert np.array_equal(units, lam[modes[(lam[modes].imag >= 0) & (modes != 0)]])
             assert left.shape == right.shape == (2 * units.size, support.size)
@@ -636,7 +669,8 @@ class TestHandoffDecision:
             assume(dec is not None)  # no unique stationary state
             grid = grid or TimeGrid.linear(0.0, 4.0 * dec.tau, 33)
             traj = robust_trajectory(model, dec, rho0, grid)
-            weight = sum(w.sum() for _, w in dynamics._coefficients(dec, rho0))
+            x = dec.packed.coordinates(rho0)
+            weight = sum(w.sum() for _, w in dynamics._coefficients(dec, x))
             bound = dec.diagnostics.biorthonormality_residual * weight
             defect = np.max(np.abs(evolve_spectral_grid(dec, rho0, grid)[0] - rho0))
             assert (traj.source == "spectral") == (max(bound, defect) <= AGREEMENT_TOL)

@@ -171,7 +171,7 @@ def _random_decomposition(d, n_jumps, planted, seed):
 def _exact_partners(lam, blocks):
     """Pairs (k, j): each Im > 0 mode with the first unused mode of value conj(lam_k) in its block."""
     pairs = []
-    for modes, _ in blocks:
+    for modes in blocks:
         free = [j for j in modes if lam[j].imag < 0]
         for k in modes:
             if lam[k].imag > 0:
@@ -219,15 +219,15 @@ class TestPolish:
         # d=0 stands for dicke N=6, whose slow modes lie in two blocks (modes
         # 0 and 1 in one, mode 2 in the other), so each block polishes its own
         if d == 0:
-            dec = dicke6[1]
-            assert [np.isin([1, 2], modes).tolist() for modes, _ in dec.blocks] == [
+            dec, sup = dicke6[1], build_liouvillian(dicke6[0])
+            assert [np.isin([1, 2], modes).tolist() for modes in dec.blocks] == [
                 [True, False], [False, True]]
         else:
-            dec, _ = _random_decomposition(d, n_jumps, planted, seed)
+            dec, sup = _random_decomposition(d, n_jumps, planted, seed)
             assume(dec is not None)
         d = dec.dim
         basis = hermitian_operator_basis_rows(d)
-        lr = (basis.conj() @ dec.generator @ basis.T).toarray()
+        lr = (basis.conj() @ sup.matrix @ basis.T).toarray()
         scale = np.linalg.norm(lr, 2)
         for k in (1, 2):
             lam = dec.eigenvalues[k]
@@ -240,9 +240,9 @@ class TestPolish:
         # the inputs above are small enough that the packed inverse alone
         # meets that bound; at dicke N=40 it leaves an l2 residual of about
         # 1e-7 of the 1-norm, and the polish brings it to about 1e-16
-        _, dec = dicke40
+        model, dec = dicke40
         basis = hermitian_operator_basis_rows(dec.dim)
-        lr = (basis.conj() @ dec.generator @ basis.T).real
+        lr = (basis.conj() @ build_liouvillian(model).matrix @ basis.T).real
         w = dec.leading_left[1].ravel() @ basis.T
         residual = np.linalg.norm(w @ lr - dec.eigenvalues[1] * w)
         assert residual <= 1e-12 * spla.norm(lr, 1) * np.linalg.norm(w)
@@ -439,6 +439,49 @@ class TestOneBlasPool:
         assert dec.eigenvalues[2].imag != 0 and np.complex128 in factored
 
 
+def _basis_changed_generator(plan, matrix):
+    """``(A, mu, |A|_1)`` of ``_real_generator``, from a basis change of the input ``matrix``."""
+    a = (plan.basis_conj @ matrix @ plan.basis.T).real
+    mu = float(a.diagonal().mean())
+    a = a - mu * sp.identity(a.shape[0], format="csr")
+    return a, mu, float(abs(a).sum(axis=0).max())
+
+
+def _assert_same_csr(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+    assert a.data.tobytes() == b.data.tobytes()
+
+
+class TestKeptGenerator:
+    """The real generator that ``decompose`` keeps is the basis change of its input."""
+
+    @staticmethod
+    def _check(dec, sup):
+        plan = dec.packed
+        # the raw product lists each row's columns unsorted; sorting them moves
+        # no value and no row, and gives the kept matrix bit for bit
+        product = (plan.basis_conj @ sup.matrix @ plan.basis.T).real.sorted_indices()
+        assert plan.generator.has_canonical_format
+        _assert_same_csr(plan.generator, product)
+        a, mu, norm = dynamics._real_generator(dec)
+        a_ref, mu_ref, norm_ref = _basis_changed_generator(plan, sup.matrix)
+        _assert_same_csr(a, a_ref)
+        assert (mu, norm) == (mu_ref, norm_ref)
+
+    @pytest.mark.parametrize("name", ["dicke", "all-to-all"])
+    def test_reference_models(self, both_models6, name):
+        model, dec = both_models6[name]
+        self._check(dec, build_liouvillian(model))
+
+    @settings(max_examples=30, deadline=None)
+    @random_models
+    def test_random_models(self, d, n_jumps, planted, seed):
+        dec, sup = _random_decomposition(d, n_jumps, planted, seed)
+        assume(dec is not None)
+        self._check(dec, sup)
+
+
 class TestCoordinates:
     """One real layout: the basis coordinates ``Tr(B_a X)`` that ``decompose`` solves in."""
 
@@ -454,8 +497,8 @@ class TestCoordinates:
         # each block's slice holds the coordinates on the basis rows of its support
         basis = hermitian_operator_basis_rows(d)
         first = basis.indices[basis.indptr[:-1]]  # first support position of each row
-        for (_, support), (coords, *_) in zip(dec.blocks, plan.blocks):
-            rows = np.flatnonzero(np.isin(first, support))
+        for coords, *_ in plan.blocks:
+            rows = np.flatnonzero(np.isin(first, plan.basis[coords].indices))
             assert np.array_equal(x[coords], (basis[rows].conj() @ vec(x_h)).real)
         # the basis is orthonormal: the Frobenius norm is the Euclidean one
         frobenius = np.linalg.norm(x_h)
@@ -692,7 +735,7 @@ class TestStorage:
             counted(0)
         finally:
             tracemalloc.stop()
-        n_max = max(modes.size for modes, _ in dec.blocks)
+        n_max = max(modes.size for modes in dec.blocks)
         assert peak[0] <= 8.0 * 8 * n_max**2
         assert spectral._MAPPED["live"] == live  # every mapped buffer is unmapped
         if spectral._DGEEV is not None:  # the mapped block and VR were counted
@@ -709,7 +752,7 @@ class TestStorage:
         # the expanded modes give back the packed right rows and coefficients
         plan = dec.packed
         x_h = random_hermitian(dec.dim, RNG)
-        for (modes, _), (coords, lam, l_rows, r_rows, _) in zip(dec.blocks, plan.blocks):
+        for modes, (coords, lam, l_rows, r_rows, _) in zip(dec.blocks, plan.blocks):
             units = modes[(dec.eigenvalues[modes].imag >= 0) & (modes != 0)]
             x = plan.coordinates(x_h)[coords]
             for u, k in enumerate(units):
