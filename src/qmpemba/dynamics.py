@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -60,9 +60,17 @@ _TAYLOR_THETA = {
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing, non-negative, finite times."""
+    """Strictly increasing, non-negative, finite times.
+
+    ``step`` is the spacing h of an evenly spaced grid, whose points are
+    ``points[0] + j h`` to rounding, and None for any other grid.  Only
+    ``linear`` sets it (it is no constructor argument, so no caller can pair
+    it with other points); it is never inferred from the points, and lets
+    the mode sum take its phases from powers of ``e^{lam h}``.
+    """
 
     points: np.ndarray
+    step: Optional[float] = field(default=None, init=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -76,8 +84,12 @@ class TimeGrid:
 
     @classmethod
     def linear(cls, t_start: float, t_stop: float, n: int) -> "TimeGrid":
+        """``n`` evenly spaced times from ``t_start`` to ``t_stop``, with numpy's step."""
         cls(points=[t_start, t_stop])  # the endpoints checked before numpy spaces them
-        return cls(points=np.linspace(t_start, t_stop, n))
+        points, step = np.linspace(t_start, t_stop, n, retstep=True)
+        grid = cls(points=points)
+        object.__setattr__(grid, "step", float(step))
+        return grid
 
     @classmethod
     def geometric(
@@ -137,7 +149,7 @@ def evolve_spectral_grid(dec: SpectralDecomposition, rho0, grid: TimeGrid) -> np
     exactly Hermitian states.  Nothing is kept between calls.
     """
     rho0 = _check_density(rho0, dec.dim)
-    rows = _mode_sum_rows(dec, _coefficients(dec, dec.packed.coordinates(rho0)), grid.points)
+    rows = _mode_sum_rows(dec, _coefficients(dec, dec.packed.coordinates(rho0)), grid)
     rows += _stationary_term(dec, rho0)
     return dec.packed.hermitian(rows)
 
@@ -146,8 +158,8 @@ def _stationary_term(dec: SpectralDecomposition, rho0: np.ndarray) -> np.ndarray
     return dec.packed.stationary * np.einsum("ij,ji->", dec.leading_left[0], rho0).real
 
 
-def _mode_sum_rows(dec: SpectralDecomposition, coefficients: list, times: np.ndarray) -> np.ndarray:
-    """Coordinates of ``rho(t) - Tr(rho0) rho_ss``, one row per time.
+def _mode_sum_rows(dec: SpectralDecomposition, coefficients: list, grid: TimeGrid) -> np.ndarray:
+    """Coordinates of ``rho(t) - Tr(rho0) rho_ss``, one row per grid time.
 
     Sums ``sum_{k>1} exp(t lam_k) Tr(l_k rho0) r_k`` on the packed modes of
     ``dec.packed``, in its coordinate layout, from the ``_coefficients`` of
@@ -157,23 +169,48 @@ def _mode_sum_rows(dec: SpectralDecomposition, coefficients: list, times: np.nda
     is its second row).  So every block writes one real product per chunk of
     grid times straight into its slice of the chunk's rows, over the prefix
     of its units that ``_active_prefix`` counts at the chunk's first time.
+
+    On a grid with a ``step`` h the phases of a chunk that starts at t_s are
+    ``e^{lam t_s} e^{lam j h}``: one exponential per live unit at each chunk
+    start, times the table of ``_step_powers`` that each block forms once,
+    over its units that are live at any chunk start.  Any other grid takes
+    one exponential per time and live unit.
     """
-    plan = dec.packed
+    plan, times = dec.packed, grid.points
     starts = times[::_MODE_SUM_CHUNK]
-    terms = [
-        (coords, lam, right, c, _active_prefix(weight, lam.real, starts))
-        for (coords, lam, _, right, _), (c, weight) in zip(plan.blocks, coefficients)
-    ]
+    terms = []
+    for (coords, lam, _, right, _), (c, weight) in zip(plan.blocks, coefficients):
+        prefix = _active_prefix(weight, lam.real, starts)
+        powers = None if grid.step is None else _step_powers(grid.step, lam[: prefix.max()])
+        terms.append((coords, lam, right, c, prefix, powers))
     rows = np.empty((times.size, plan.stationary.size))
     for k, start in enumerate(range(0, times.size, _MODE_SUM_CHUNK)):
         t = times[start : start + _MODE_SUM_CHUNK]
-        for coords, lam, right, c, prefix in terms:
+        for coords, lam, right, c, prefix, powers in terms:
             u = prefix[k]
-            z = np.exp(np.outer(t, lam[:u]))
-            z *= c[:u]
+            if powers is None:
+                z = np.exp(np.outer(t, lam[:u]))
+                z *= c[:u]
+            else:
+                z = powers[: t.size, :u] * (np.exp(t[0] * lam[:u]) * c[:u])
             # zeros when u == 0
             np.matmul(z.view(float), right[: 2 * u], out=rows[start : start + t.size, coords])
     return rows
+
+
+def _step_powers(step: float, lam: np.ndarray) -> np.ndarray:
+    """``e^{lam j h}`` for ``j < _MODE_SUM_CHUNK``, one row per j, from few exponentials.
+
+    Row ``j = 8a + b`` is ``e^{lam 8ah} e^{lam bh}``, so a unit takes the 8 + 4
+    exponentials of the two factors, and every row is within two of their
+    rounding errors.  A running product of ``e^{lam h}`` would need one
+    exponential, but it compounds that one's rounding error j times: on
+    random models it took the mode sum's error to 8.9 unit roundoffs of its
+    a-priori rounding bound, against at most 4.4 for exponentials per time.
+    """
+    fine = np.exp(np.outer(step * np.arange(8), lam))
+    coarse = np.exp(np.outer(8 * step * np.arange(_MODE_SUM_CHUNK // 8), lam))
+    return (coarse[:, None] * fine).reshape(-1, lam.size)
 
 
 def _coefficients(dec: SpectralDecomposition, x: np.ndarray) -> list:
@@ -436,7 +473,7 @@ def robust_trajectory(
     plan = dec.packed
     x = plan.coordinates(rho0)
     coefficients = _coefficients(dec, x)
-    rows = _mode_sum_rows(dec, coefficients, grid.points)
+    rows = _mode_sum_rows(dec, coefficients, grid)
     stationary = _stationary_term(dec, rho0)
     weight = sum(float(w.sum()) for _, w in coefficients)
     certified = dec.diagnostics.biorthonormality_residual * weight <= AGREEMENT_TOL

@@ -148,12 +148,8 @@ def rotation_angle(alpha_1: float, alpha_n: float) -> float:
     return float(np.arctan(np.sqrt(abs(alpha_1 / alpha_n))))
 
 
-def build_rotation(levels: SlowModeSpectrum, s) -> np.ndarray:
-    """Two-level rotation ``1 + (cos s - 1) F^2 - i sin(s) F`` (unitary, U(0)=1).
-
-    ``s`` is one angle, giving a ``(d, d)`` matrix, or an array of angles,
-    giving the stack ``(*s.shape, d, d)`` of the rotations at each angle.
-    """
+def build_rotation(levels: SlowModeSpectrum, s: float) -> np.ndarray:
+    """Two-level rotation ``1 + (cos s - 1) F^2 - i sin(s) F`` (unitary, U(0)=1)."""
     if levels.zero_branch:
         raise ZeroBranch(
             "rotation undefined on the zero branch; use build_permutation"
@@ -163,7 +159,7 @@ def build_rotation(levels: SlowModeSpectrum, s) -> np.ndarray:
     f = np.outer(p1, pn.conj()) + np.outer(pn, p1.conj())
     f2 = np.outer(p1, p1.conj()) + np.outer(pn, pn.conj())
     d = p1.size
-    s = np.asarray(s, dtype=float)[..., None, None]
+    s = float(s)
     return np.eye(d, dtype=complex) + (np.cos(s) - 1.0) * f2 - 1j * np.sin(s) * f
 
 
@@ -182,9 +178,8 @@ def build_permutation(levels: SlowModeSpectrum) -> np.ndarray:
     return u
 
 
-def _overlap(ell2: np.ndarray, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """``Tr(l2 U psi psi^dagger U^dagger)`` as ``(U psi)^dagger l2 (U psi)``, for one or many U."""
-    v = u @ psi
+def _expectation(ell2: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``v^dagger l2 v`` for a vector v, or for each row of a stack of them."""
     return np.sum(v.conj() * (v @ ell2.T), axis=-1)
 
 
@@ -220,7 +215,7 @@ def optimal_unitary(dec: SpectralDecomposition, psi) -> MpembaRotation:
         unitary=unitary,
         branch=branch,
         s_bar=s_bar,
-        residual_overlap=float(abs(_overlap(ell2, unitary, psi))),
+        residual_overlap=float(abs(_expectation(ell2, unitary @ psi))),
         initial_overlap=float(np.real(np.vdot(psi, ell2 @ psi))),
         slow_spectrum=levels,
     )
@@ -229,15 +224,23 @@ def optimal_unitary(dec: SpectralDecomposition, psi) -> MpembaRotation:
 def overlap_scan(dec: SpectralDecomposition, psi, s_grid) -> list[tuple[float, float]]:
     """Slow-mode overlap of the rotated state at each angle of ``s_grid``.
 
-    The scan rotates the state vector itself: with ``psi1 = U1 psi`` it
-    evaluates ``(U(s) psi1)^dagger l2 (U(s) psi1)`` for every angle at once on
-    the stack of rotations that ``build_rotation`` returns, and builds no
-    density matrix.  It equals ``alpha_1 cos^2(s) + alpha_n sin^2(s)``
-    pointwise, with the endpoints reproducing the two selected eigenvalues.
+    The scan rotates the state vector itself and builds no matrix per angle:
+    with ``x = U1 psi`` the rotated vector is ``v(s) = x + (cos s - 1) F^2 x
+    - i sin(s) F x``, formed for every angle from the two vectors ``F^2 x``
+    and ``F x``, and the overlap is ``v(s)^dagger l2 v(s)``; no density matrix
+    is formed.  It equals ``alpha_1 cos^2(s) + alpha_n sin^2(s)`` pointwise,
+    with the endpoints reproducing the two selected eigenvalues.
     """
     psi, ell2, levels, u1 = _prepare(dec, psi)
     if levels.zero_branch:
         raise ZeroBranch("overlap scan requires an opposite-sign partner level")
+    p1 = levels.phis[:, levels.index_1]
+    pn = levels.phis[:, levels.index_n]
+    x = u1 @ psi
+    c1, cn = np.vdot(p1, x), np.vdot(pn, x)
+    fx = p1 * cn + pn * c1
+    f2x = p1 * c1 + pn * cn
     angles = np.asarray(s_grid, dtype=float)
-    values = _overlap(ell2, build_rotation(levels, angles), u1 @ psi).real
-    return [(float(s), float(v)) for s, v in zip(angles, values)]
+    v = x + np.outer(np.cos(angles) - 1.0, f2x) - 1j * np.outer(np.sin(angles), fx)
+    values = _expectation(ell2, v).real
+    return [(float(s), float(val)) for s, val in zip(angles, values)]

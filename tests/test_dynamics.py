@@ -78,11 +78,15 @@ class TestTimeGrid:
     def test_linear(self):
         grid = TimeGrid.linear(0.0, 2.0, 5)
         assert np.allclose(grid.points, [0, 0.5, 1, 1.5, 2])
+        assert grid.step == 0.5
+        assert replace(grid, points=grid.points[::2]).step is None  # not carried to other points
 
     def test_geometric_with_zero(self):
         grid = TimeGrid.geometric(0.1, 10.0, 5, include_zero=True)
         assert grid.points[0] == 0.0
         assert grid.points.size == 5
+        assert grid.step is None
+        assert TimeGrid(points=np.array([0.0, 1.0, 2.0])).step is None  # never inferred
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):
@@ -497,9 +501,10 @@ class TestActiveModeSum:
         n_jumps=st.integers(1, 3),
         planted=st.booleans(),
         from_zero=st.booleans(),
+        spacing=st.sampled_from(["linear", "geometric", "uneven"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_the_untruncated_sum(self, d, n_jumps, planted, from_zero, seed):
+    def test_matches_the_untruncated_sum(self, d, n_jumps, planted, from_zero, spacing, seed):
         rng = np.random.default_rng(seed)
         model = random_lindblad_model(d, n_jumps, rng, planted)
         try:
@@ -525,7 +530,13 @@ class TestActiveModeSum:
 
         rho0 = random_density(d, rng)
         t_start = 0.0 if from_zero else 2.0 * dec.tau
-        grid = TimeGrid.linear(t_start, t_start + 8.0 * dec.tau, 97)
+        t_stop = t_start + 8.0 * dec.tau
+        if spacing == "linear":  # phases from the table of step powers
+            grid = TimeGrid.linear(t_start, t_stop, 97)
+        elif spacing == "geometric":
+            grid = TimeGrid.geometric(1e-3 * dec.tau, t_stop, 97, include_zero=True)
+        else:  # spacing that widens steadily from t_start
+            grid = TimeGrid(points=t_start + (t_stop - t_start) * np.linspace(0.0, 1.0, 97) ** 2)
         coeff = left @ vec(rho0)
         terms = np.exp(np.outer(grid.points, dec.eigenvalues)) * coeff
         reference = (terms[:, 1:] @ right[1:]).reshape(-1, d, d).transpose(0, 2, 1)
@@ -578,6 +589,46 @@ class TestActiveModeSum:
         states = evolve_spectral_grid(dec, rho0, grid)
         err = np.max(np.abs(states - reference), axis=(1, 2))
         assert np.all(err <= 8 * (np.finfo(float).eps / 2) * bound)
+
+    @pytest.mark.parametrize("geometric", [False, True])
+    def test_counts_the_exponentials(self, dicke6, geometric):
+        # a linear grid takes one exponential per live unit at each chunk start,
+        # plus the step powers of each block's live units; any other grid one
+        # per time and live unit
+        _, dec = dicke6
+        rho0 = random_density(dec.dim, RNG)
+        n = 10 * dynamics._MODE_SUM_CHUNK + 1
+        if geometric:
+            grid = TimeGrid.geometric(1e-2 * dec.tau, 8.0 * dec.tau, n, include_zero=True)
+        else:
+            grid = TimeGrid.linear(0.0, 8.0 * dec.tau, n)
+        coefficients = dynamics._coefficients(dec, dec.packed.coordinates(rho0))
+        prefixes, active_prefix = [], dynamics._active_prefix
+
+        def recording(weight, rate, starts):
+            prefixes.append(active_prefix(weight, rate, starts))
+            return prefixes[-1]
+
+        exponentials, np_exp = [], np.exp
+
+        def exp(x, *args, **kwargs):
+            out = np_exp(x, *args, **kwargs)
+            exponentials.append(out.size if np.iscomplexobj(out) else 0)
+            return out
+
+        with mock.patch.object(dynamics, "_active_prefix", recording), \
+                mock.patch.object(np, "exp", exp):
+            dynamics._mode_sum_rows(dec, coefficients, grid)
+        assert len(prefixes) == len(dec.packed.blocks)
+        sizes = np.diff(np.append(np.arange(0, n, dynamics._MODE_SUM_CHUNK), n))  # of the chunks
+        per_row = sum(int(sizes @ prefix) for prefix in prefixes)
+        if geometric:
+            assert sum(exponentials) == per_row
+        else:
+            powers = 12  # the 8 + 4 exponentials of _step_powers
+            per_chunk = sum(int(prefix.sum()) + powers * int(prefix.max()) for prefix in prefixes)
+            assert sum(exponentials) <= per_chunk
+            assert 4 * per_chunk < per_row
 
 
 class TestHermitianModes:

@@ -294,7 +294,7 @@ class TestOverlapScan:
 
 
 class TestBatchedScan:
-    """The angle-stack rotation and the batched scan against per-angle references."""
+    """The vector scan against per-angle rotation matrices."""
 
     @staticmethod
     def _random_case(d, n_jumps, planted, seed):
@@ -321,11 +321,8 @@ class TestBatchedScan:
         assume(rot.branch == "rotation")
         levels = rot.slow_spectrum
         angles = rng.uniform(-np.pi, np.pi, size=n_angles)
-        stack = build_rotation(levels, angles)
-        assert stack.shape == (n_angles, d, d)
-        for s, u in zip(angles, stack):
-            assert np.max(np.abs(u - build_rotation(levels, s))) <= 1e-15
-            assert _unitarity_defect(u) <= 1e-13
+        for s in angles:
+            assert _unitarity_defect(build_rotation(levels, s)) <= 1e-13
 
         ell2 = hermitize_slow_mode(dec)
         rho1 = rot.u1 @ np.outer(psi, psi.conj()) @ rot.u1.conj().T
@@ -359,6 +356,6 @@ class TestBatchedScan:
         levels = slow_mode_spectrum(hermitize_slow_mode(planted_dec))
         assert levels.zero_branch
         with pytest.raises(ZeroBranch):
-            build_rotation(levels, np.linspace(0.0, 1.0, 3))
+            build_rotation(levels, 0.5)
         with pytest.raises(ZeroBranch):
             overlap_scan(planted_dec, psi, np.linspace(0.0, 1.0, 3))
