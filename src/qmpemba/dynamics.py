@@ -10,11 +10,13 @@ of the real sparse generator (Al-Mohy & Higham 2011), planned from one exact
 1-norm per trajectory.  The mode sum runs block by block: one real product
 per block and chunk of grid times, over one unit per real mode or conjugate
 pair and only over the units whose terms are not yet below the rounding
-floor of the full sum.  A trajectory stays in those coordinates: one real
-row of ``rho(t) - rho_ss`` per grid time, whose Euclidean norm is the
-distance and whose product with l2's coordinate row is the slow overlap, so
-no state is formed; ``evolve_spectral_grid`` maps the same rows back through
-the basis into exactly Hermitian states.  Decay fits start where the slow
+floor of the full sum.  Its tables for a linear grid, and l2's coordinate
+row, are kept by the decomposition for every later state.  A trajectory
+stays in those coordinates: one real row of ``rho(t) - rho_ss`` per grid
+time, whose Euclidean norm is the distance and whose product with l2's
+coordinate row is the slow overlap, so no state is formed;
+``evolve_spectral_grid`` maps the same rows back through the basis into
+exactly Hermitian states.  Decay fits start where the slow
 mode's term dominates the rest of the mode sum (``fit_start``).  A
 fixed-step fourth-order Runge-Kutta integrator, written directly with the
 model operators, never touches either route and is kept as the independent
@@ -146,7 +148,7 @@ def evolve_spectral_grid(dec: SpectralDecomposition, rho0, grid: TimeGrid) -> np
 
     The rows of ``_mode_sum_rows`` plus the stationary term
     ``Tr(l_1 rho0) r_1``, mapped back by ``HermitianModes.hermitian`` into
-    exactly Hermitian states.  Nothing is kept between calls.
+    exactly Hermitian states.
     """
     rho0 = _check_density(rho0, dec.dim)
     rows = _mode_sum_rows(dec, _coefficients(dec, dec.packed.coordinates(rho0)), grid)
@@ -171,28 +173,33 @@ def _mode_sum_rows(dec: SpectralDecomposition, coefficients: list, grid: TimeGri
     of its units that ``_active_prefix`` counts at the chunk's first time.
 
     On a grid with a ``step`` h the phases of a chunk that starts at t_s are
-    ``e^{lam t_s} e^{lam j h}``: one exponential per live unit at each chunk
-    start, times the table of ``_step_powers`` that each block forms once,
-    over its units that are live at any chunk start.  Any other grid takes
-    one exponential per time and live unit.
+    ``e^{lam t_s} e^{lam j h}``.  Per block, the decay ``e^{t_s Re lam}`` and
+    the phases ``e^{t_s lam}`` at each chunk start and the ``_step_powers``
+    of all units are formed as each state formed them before, bitwise, and
+    kept by ``dec.packed`` for every later state on the grid.  Any other grid
+    takes its decay table per call and one exponential per time and live unit.
     """
     plan, times = dec.packed, grid.points
     starts = times[::_MODE_SUM_CHUNK]
-    terms = []
-    for (coords, lam, _, right, _), (c, weight) in zip(plan.blocks, coefficients):
-        prefix = _active_prefix(weight, lam.real, starts)
-        powers = None if grid.step is None else _step_powers(grid.step, lam[: prefix.max()])
-        terms.append((coords, lam, right, c, prefix, powers))
+    if grid.step is None:
+        tables = [(np.exp(np.outer(starts, lam.real)), None, None) for _, lam, *_ in plan.blocks]
+    else:
+        tables = plan.grid_tables((grid.step, starts.tobytes()), lambda: [
+            (np.exp(np.outer(starts, lam.real)), np.exp(np.outer(starts, lam)),
+             _step_powers(grid.step, lam)) for _, lam, *_ in plan.blocks])
+    terms = [(coords, lam, right, c, _active_prefix(weight * decay), phases, powers)
+             for (coords, lam, _, right, _), (c, weight), (decay, phases, powers)
+             in zip(plan.blocks, coefficients, tables)]
     rows = np.empty((times.size, plan.stationary.size))
     for k, start in enumerate(range(0, times.size, _MODE_SUM_CHUNK)):
         t = times[start : start + _MODE_SUM_CHUNK]
-        for coords, lam, right, c, prefix, powers in terms:
+        for coords, lam, right, c, prefix, phases, powers in terms:
             u = prefix[k]
             if powers is None:
                 z = np.exp(np.outer(t, lam[:u]))
                 z *= c[:u]
             else:
-                z = powers[: t.size, :u] * (np.exp(t[0] * lam[:u]) * c[:u])
+                z = powers[: t.size, :u] * (phases[k, :u] * c[:u])
             # zeros when u == 0
             np.matmul(z.view(float), right[: 2 * u], out=rows[start : start + t.size, coords])
     return rows
@@ -222,11 +229,12 @@ def _coefficients(dec: SpectralDecomposition, x: np.ndarray) -> list:
     return out
 
 
-def _active_prefix(weight: np.ndarray, rate: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def _active_prefix(terms: np.ndarray) -> np.ndarray:
     """Fewest leading units whose dropped tail is within ``u`` of the bound, per chunk start.
 
-    With weights ``w_k = |c_k| peak_k`` (see ``HermitianModes``; a pair is
-    one unit, so no count splits it), the tail of units whose bound
+    ``terms`` holds ``w_k exp(t Re lam_k)``, one row per chunk start t, with
+    the weights ``w_k = |c_k| peak_k`` (see ``HermitianModes``; a pair is
+    one unit, so no count splits it).  The tail of units whose bound
     ``tail_n(t) = sum_{j>=n} w_j exp(t Re lam_j)`` is at most ``u`` (the unit
     roundoff) times the block's whole bound ``tail_0(t)`` is dropped.  That
     is the a-priori rounding bound of the untruncated sum, so the truncation
@@ -240,7 +248,6 @@ def _active_prefix(weight: np.ndarray, rate: np.ndarray, starts: np.ndarray) -> 
     increase with t, and neither does ``tail_n(t) / tail_0(t)``.  A prefix
     that is enough at a chunk's first time is enough for the whole chunk.
     """
-    terms = weight * np.exp(np.outer(starts, rate))
     tail = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]  # tail[:, n] = sum_{j>=n}
     return (tail > _UNIT_ROUNDOFF * tail[:, :1]).sum(axis=1)
 
@@ -369,13 +376,11 @@ def fit_decay_rate(
 
 def _record(dec, rows, grid, source, handoff, matvecs) -> TrajectoryRecord:
     """Distances and slow overlaps reduced from the coordinate rows of ``rho(t) - rho_ss``."""
-    plan = dec.packed
-    dists = plan.norms(rows)
+    dists = dec.packed.norms(rows)
     if not np.isfinite(dists).all():
         raise ValueError("trajectory contains non-finite entries")
-    ell = plan.trace_row(dec.leading_left[1])
-    pair = np.stack([ell.real, ell.imag], axis=1)  # one real product for Re and Im
-    overlaps = (rows @ pair).view(complex)[:, 0] + ell @ plan.stationary
+    pair, offset = dec.slow_row
+    overlaps = (rows @ pair).view(complex)[:, 0] + offset
     return TrajectoryRecord(
         times=grid.points.copy(),
         distances=dists,

@@ -23,7 +23,7 @@ from .errors import (
     ZeroBranch,
 )
 from .linalg import hermitian_eig
-from .spectral import SpectralDecomposition, hermitize_slow_mode
+from .spectral import SpectralDecomposition
 
 TOL_ALPHA_FACTOR = 1e-10
 
@@ -184,10 +184,9 @@ def _expectation(ell2: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _prepare(dec: SpectralDecomposition, psi):
-    """The checked state, the Hermitian slow mode, its levels and ``U1``."""
+    """The checked state, the Hermitian slow mode and its levels (``dec.slow_mode``) and ``U1``."""
     psi = _check_state(psi)
-    ell2 = hermitize_slow_mode(dec)
-    levels = slow_mode_spectrum(ell2)
+    ell2, levels = dec.slow_mode
     return psi, ell2, levels, build_u1(psi, levels.phis[:, levels.index_1])
 
 

@@ -51,11 +51,11 @@ import threading
 import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla  # sla.LinAlgError is numpy's; bench/ traces the kernels here
+import scipy.linalg as sla  # only for sla.LinAlgError, which is numpy's
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
@@ -83,6 +83,7 @@ REFINE_MODES = 3
 _REFINE_SEPARATION_FACTOR = 1e-6
 _REFINE_SHIFT_JITTER = 1e-12
 _ENTRY_SLICES = 8
+_KEPT_GRIDS = 4  # grids whose tables a HermitianModes keeps; the oldest goes first
 
 
 @dataclass(frozen=True)
@@ -141,12 +142,15 @@ class HermitianModes:
     bounds the unit's term in every entry at t=0 and is the weight
     ``sum |c_k| max|r_k|`` of its members.  The stationary mode is no unit;
     ``stationary`` holds its coordinates.
+    ``grid_tables`` keeps the mode sum's tables of the last ``_KEPT_GRIDS``
+    grids; a copy made with ``dataclasses.replace`` keeps its own.
     """
 
     basis: sp.csr_matrix
     blocks: tuple
     stationary: np.ndarray
     generator: sp.csr_matrix
+    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def assemble(cls, basis: sp.csr_matrix, rows: list, blocks: list,
@@ -163,6 +167,18 @@ class HermitianModes:
     def basis_conj(self) -> sp.csr_matrix:
         """The conjugate of ``basis``, built once."""
         return self.basis.conj()
+
+    def grid_tables(self, key: tuple, build) -> list:
+        """``build()``, per block a tuple of arrays, kept read-only under ``key``, their inputs."""
+        tables = self._grids.get(key)
+        if tables is None:
+            tables = build()
+            for array in (a for block in tables for a in block):
+                array.flags.writeable = False
+            tables = self._grids.setdefault(key, tables)  # another thread's, if it came first
+            while len(self._grids) > _KEPT_GRIDS:
+                self._grids.pop(next(iter(self._grids)), None)
+        return tables
 
     def coordinates(self, x: np.ndarray) -> np.ndarray:
         """The coordinates ``Tr(B_a X)`` of the Hermitian part of the (d, d) matrix ``x``."""
@@ -207,7 +223,9 @@ class SpectralDecomposition:
     exactly; the members of a conjugate pair come back to rounding of the
     packed sums, the Im lambda < 0 member as the exact adjoint of its partner.
     ``left_modes[:2]`` is ``leading_left`` and ``right_modes[0]`` is
-    ``stationary_state``.  A copy made with ``dataclasses.replace`` expands
+    ``stationary_state``.  ``slow_mode`` and ``slow_row``, the slow left mode
+    in the forms that every rotation and trajectory reads, are likewise built
+    on first use and kept.  A copy made with ``dataclasses.replace`` expands
     its own fields.
 
     ``blocks`` holds the global mode indices of each connected block of the
@@ -237,6 +255,24 @@ class SpectralDecomposition:
     @cached_property
     def right_modes(self) -> np.ndarray:
         return _full_modes(self, left=False)
+
+    @cached_property
+    def slow_mode(self) -> tuple:
+        """``hermitize_slow_mode`` and its ``slow_mode_spectrum``, read-only; a raise keeps none."""
+        from . import mpemba  # which imports this module
+        ell2 = hermitize_slow_mode(self)
+        levels = mpemba.slow_mode_spectrum(ell2)
+        for array in (ell2, levels.alphas, levels.phis):
+            array.flags.writeable = False
+        return ell2, levels
+
+    @cached_property
+    def slow_row(self) -> tuple:
+        """``(pair, offset)``: l2's ``trace_row`` as real columns Re, Im and ``Tr(l_2 rho_ss)``."""
+        ell = self.packed.trace_row(self.leading_left[1])
+        pair = np.stack([ell.real, ell.imag], axis=1)
+        pair.flags.writeable = False
+        return pair, ell @ self.packed.stationary
 
 
 def _full_modes(dec: SpectralDecomposition, left: bool) -> np.ndarray:

@@ -134,10 +134,15 @@ def test_trajectory_reaches_its_spans(workloads, monkeypatch, dicke4, exact_thro
     assert len(basis) == 0
 
 
-def test_overlap_scan_reaches_slow_mode_spectrum(workloads, monkeypatch, dicke4):
-    _, dec = dicke4
+def test_overlap_scan_reaches_slow_mode_spectrum(workloads, monkeypatch):
+    # a fresh decomposition: the shared one keeps the spectrum that other
+    # tests built.  The rotation builds it and the scan of the same
+    # decomposition reuses it, so the span counts one call for both
+    dec = qmpemba.decompose(qmpemba.build_liouvillian(qmpemba.dicke_model(DICKE_REF, 4)))
     spectra = _count_calls(workloads, monkeypatch, "mpemba.slow_mode_spectrum")
-    qmpemba.overlap_scan(dec, qmpemba.random_pure_state(4, 1), np.linspace(0.0, 1.0, 5))
+    psi = qmpemba.random_pure_state(4, 1)
+    qmpemba.optimal_unitary(dec, psi)
+    qmpemba.overlap_scan(dec, psi, np.linspace(0.0, 1.0, 5))
     assert len(spectra) == 1
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+import threading
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -592,10 +594,12 @@ class TestActiveModeSum:
 
     @pytest.mark.parametrize("geometric", [False, True])
     def test_counts_the_exponentials(self, dicke6, geometric):
-        # a linear grid takes one exponential per live unit at each chunk start,
-        # plus the step powers of each block's live units; any other grid one
-        # per time and live unit
+        # a linear grid takes its phases and step powers from tables that the
+        # decomposition builds once, (chunks + 12) exponentials per unit of
+        # each block, and a grid seen before takes none; any other grid takes
+        # one per time and live unit on every call
         _, dec = dicke6
+        dec = _fresh(dec)  # no tables kept yet
         rho0 = random_density(dec.dim, RNG)
         n = 10 * dynamics._MODE_SUM_CHUNK + 1
         if geometric:
@@ -603,33 +607,37 @@ class TestActiveModeSum:
         else:
             grid = TimeGrid.linear(0.0, 8.0 * dec.tau, n)
         coefficients = dynamics._coefficients(dec, dec.packed.coordinates(rho0))
-        prefixes, active_prefix = [], dynamics._active_prefix
-
-        def recording(weight, rate, starts):
-            prefixes.append(active_prefix(weight, rate, starts))
-            return prefixes[-1]
-
-        exponentials, np_exp = [], np.exp
-
-        def exp(x, *args, **kwargs):
-            out = np_exp(x, *args, **kwargs)
-            exponentials.append(out.size if np.iscomplexobj(out) else 0)
-            return out
-
-        with mock.patch.object(dynamics, "_active_prefix", recording), \
-                mock.patch.object(np, "exp", exp):
-            dynamics._mode_sum_rows(dec, coefficients, grid)
-        assert len(prefixes) == len(dec.packed.blocks)
         sizes = np.diff(np.append(np.arange(0, n, dynamics._MODE_SUM_CHUNK), n))  # of the chunks
+        units = [lam.size for _, lam, *_ in dec.packed.blocks]
+        np_exp, active_prefix, calls = np.exp, dynamics._active_prefix, []
+        for _ in range(2):
+            prefixes, exponentials = [], []
+
+            def recording(terms):
+                prefixes.append(active_prefix(terms))
+                return prefixes[-1]
+
+            def exp(x, *args, **kwargs):
+                out = np_exp(x, *args, **kwargs)
+                exponentials.append(out.size if np.iscomplexobj(out) else 0)
+                return out
+
+            with mock.patch.object(dynamics, "_active_prefix", recording), \
+                    mock.patch.object(np, "exp", exp):
+                rows = dynamics._mode_sum_rows(dec, coefficients, grid)
+            assert len(prefixes) == len(dec.packed.blocks)
+            calls.append((rows, prefixes, sum(exponentials)))
+        (cold_rows, prefixes, cold), (warm_rows, warm_prefixes, warm) = calls
+        assert cold_rows.tobytes() == warm_rows.tobytes()
+        assert all(np.array_equal(a, b) for a, b in zip(prefixes, warm_prefixes))
         per_row = sum(int(sizes @ prefix) for prefix in prefixes)
         if geometric:
-            assert sum(exponentials) == per_row
+            assert cold == warm == per_row
         else:
             powers = 12  # the 8 + 4 exponentials of _step_powers
-            per_chunk = sum(int(prefix.sum()) + powers * int(prefix.max()) for prefix in prefixes)
-            assert sum(exponentials) <= per_chunk
-            assert 4 * per_chunk < per_row
-
+            assert cold <= sum((sizes.size + powers) * u for u in units)
+            assert 4 * cold < per_row
+            assert warm == 0
 
 class TestHermitianModes:
     @settings(max_examples=30, deadline=None)
@@ -665,9 +673,9 @@ class TestHermitianModes:
         # the prefix counts units, two rows each, so no prefix splits a pair
         counted, active_prefix = [], dynamics._active_prefix
 
-        def recording(weight, rate, starts):
-            prefix = active_prefix(weight, rate, starts)
-            counted.append((weight.size, prefix))
+        def recording(terms):
+            prefix = active_prefix(terms)
+            counted.append((terms.shape[1], prefix))
             return prefix
 
         rho0 = random_density(d, rng)
@@ -695,6 +703,134 @@ class TestHermitianModes:
         assert np.array_equal(doubled.right_modes[1:], 2 * full[1:])
         assert np.array_equal(doubled.right_modes[0], dec.stationary_state)
         assert dec.right_modes is full  # kept, not rebuilt
+
+
+def _fresh(dec):
+    """A copy of ``dec`` that shares its arrays but none of the tables that it keeps."""
+    return replace(dec, packed=replace(dec.packed))
+
+
+def _same_trajectory(a, b) -> bool:
+    return (a.distances.tobytes() == b.distances.tobytes()
+            and a.slow_overlaps.tobytes() == b.slow_overlaps.tobytes()
+            and (a.source, a.handoff_time, a.exact_matvecs)
+            == (b.source, b.handoff_time, b.exact_matvecs))
+
+
+class TestGridTables:
+    """The tables a decomposition keeps per linear grid leave every trajectory bitwise as it was."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        n_jumps=st.integers(1, 3),
+        planted=st.booleans(),
+        # one-chunk grids, and longer ones whose last chunk is short
+        n=st.one_of(st.integers(2, dynamics._MODE_SUM_CHUNK),
+                    st.integers(33, 200).filter(lambda n: n % dynamics._MODE_SUM_CHUNK)),
+        offset=st.sampled_from([0.0, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_warm_decomposition_evolves_as_a_fresh_one(
+        self, d, n_jumps, planted, n, offset, seed
+    ):
+        rng = np.random.default_rng(seed)
+        try:
+            dec = decompose(build_liouvillian(random_lindblad_model(d, n_jumps, rng, planted)))
+        except AssumptionViolation as exc:
+            dec = exc.decomposition
+        assume(dec is not None)  # no unique stationary state
+        grid = TimeGrid.linear(offset * dec.tau, (offset + 6.0) * dec.tau, n)
+        first, rho0 = random_density(d, rng), random_density(d, rng)
+        robust_trajectory(None, dec, first, grid)  # builds the grid's tables
+        assert len(dec.packed._grids) == 1
+        warm = robust_trajectory(None, dec, rho0, grid)
+        fresh = _fresh(dec)
+        cold = robust_trajectory(None, fresh, rho0, grid)
+        assert fresh.packed._grids.keys() == dec.packed._grids.keys()
+        assert _same_trajectory(warm, cold)
+        assert evolve_spectral_grid(dec, rho0, grid).tobytes() \
+            == evolve_spectral_grid(_fresh(dec), rho0, grid).tobytes()
+
+    def test_kept_tables_are_read_only(self, dicke6):
+        _, dec = dicke6
+        dec = _fresh(dec)
+        robust_trajectory(None, dec, random_density(dec.dim, RNG),
+                          TimeGrid.linear(0.0, 4.0 * dec.tau, 101))
+        (tables,) = dec.packed._grids.values()
+        assert len(tables) == len(dec.packed.blocks)
+        for block in tables:
+            assert len(block) == 3  # decay, phases, step powers
+            for array in block:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+        pair, _ = dec.slow_row
+        with pytest.raises(ValueError, match="read-only"):
+            pair[0] = 0.0
+
+    def test_more_grids_than_the_bound_do_not_grow_the_tables(self, dicke6):
+        _, dec = dicke6
+        dec = _fresh(dec)
+        rho0 = random_density(dec.dim, RNG)
+        kept = spectral._KEPT_GRIDS
+        grids = [TimeGrid.linear(0.0, (2.0 + j) * dec.tau, 101) for j in range(kept + 3)]
+        for j, grid in enumerate(grids):
+            robust_trajectory(None, dec, rho0, grid)
+            assert len(dec.packed._grids) == min(j + 1, kept)
+        # the oldest go first
+        assert [key[0] for key in dec.packed._grids] == [g.step for g in grids[-kept:]]
+        # other grids take no table
+        robust_trajectory(None, dec, rho0, TimeGrid.geometric(1e-2, 4.0 * dec.tau, 101))
+        robust_trajectory(None, dec, rho0, TimeGrid(points=grids[0].points))
+        assert [key[0] for key in dec.packed._grids] == [g.step for g in grids[-kept:]]
+        # a grid evicted and seen again is the same trajectory
+        again = robust_trajectory(None, dec, rho0, grids[0])
+        assert _same_trajectory(again, robust_trajectory(None, _fresh(dec), rho0, grids[0]))
+
+    def test_grids_of_one_step_keep_their_own_tables(self, dicke6):
+        # the two grids share their step (2T - T is exact) but not their chunk starts
+        _, dec = dicke6
+        dec = _fresh(dec)
+        rho0 = random_density(dec.dim, RNG)
+        late, early = (TimeGrid.linear(t0, t0 + 4.0 * dec.tau, 101) for t0 in (4.0 * dec.tau, 0.0))
+        assert late.step == early.step
+        for grid in (late, early):
+            traj = robust_trajectory(None, dec, rho0, grid)
+            assert _same_trajectory(traj, robust_trajectory(None, _fresh(dec), rho0, grid))
+        assert len(dec.packed._grids) == 2
+
+    def test_threads_sharing_a_decomposition(self, dicke6):
+        # more threads than cores sweep more grids than are kept on one
+        # decomposition, with frequent switches; each trajectory must equal
+        # the one on a fresh copy, and the tables must stay within the bound
+        _, dec = dicke6
+        dec = _fresh(dec)
+        rho0 = random_density(dec.dim, RNG)
+        grids = [TimeGrid.linear(0.0, (2.0 + j) * dec.tau, 101)
+                 for j in range(spectral._KEPT_GRIDS + 2)]
+        expected = [robust_trajectory(None, _fresh(dec), rho0, g) for g in grids]
+        results = []
+
+        def sweep(offset):
+            for j in range(3 * len(grids)):
+                k = (j + offset) % len(grids)
+                results.append(_same_trajectory(robust_trajectory(None, dec, rho0, grids[k]),
+                                                expected[k]))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=sweep, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(results) == 6 * 3 * len(grids) and all(results)
+        # each insertion is followed by its thread's eviction
+        assert 0 < len(dec.packed._grids) <= spectral._KEPT_GRIDS
 
 
 class TestHandoffDecision:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density, random_lindblad_model
+from conftest import DICKE_REF, random_density, random_lindblad_model
 
 from qmpemba import (
     build_liouvillian,
@@ -15,6 +15,7 @@ from qmpemba import (
     build_rotation,
     build_u1,
     decompose,
+    dicke_model,
     hermitize_slow_mode,
     optimal_unitary,
     overlap_scan,
@@ -22,9 +23,12 @@ from qmpemba import (
     rotation_angle,
     slow_mode_spectrum,
 )
+from qmpemba import mpemba
+from qmpemba.cli import main
 from qmpemba.errors import (
     AssumptionViolation,
     NoOppositeSign,
+    NotHermitianSlowMode,
     NotNormalized,
     NoZeroEigenvalue,
     SameSign,
@@ -359,3 +363,55 @@ class TestBatchedScan:
             build_rotation(levels, 0.5)
         with pytest.raises(ZeroBranch):
             overlap_scan(planted_dec, psi, np.linspace(0.0, 1.0, 3))
+
+
+class TestSlowModeKept:
+    """Every state of a decomposition reads the one Hermitian slow mode and levels it keeps."""
+
+    @staticmethod
+    def _count_eigensolves(monkeypatch):
+        # slow_mode_spectrum is the only caller of hermitian_eig in the package
+        calls, real = [], mpemba.hermitian_eig
+
+        def counted(a):
+            calls.append(1)
+            return real(a)
+
+        monkeypatch.setattr(mpemba, "hermitian_eig", counted)
+        return calls
+
+    def test_one_eigensolve_for_every_state(self, monkeypatch):
+        dec = decompose(build_liouvillian(dicke_model(DICKE_REF, 4)))
+        calls = self._count_eigensolves(monkeypatch)
+        for seed in (1, 2, 3):
+            psi = random_pure_state(4, seed)
+            optimal_unitary(dec, psi)
+            overlap_scan(dec, psi, np.linspace(0.0, 1.0, 5))
+        assert len(calls) == 1
+        ell2, levels = dec.slow_mode
+        assert np.array_equal(ell2, hermitize_slow_mode(dec))
+        fresh = slow_mode_spectrum(hermitize_slow_mode(dec))
+        assert np.array_equal(levels.alphas, fresh.alphas)
+        assert np.array_equal(levels.phis, fresh.phis)
+        for array in (ell2, levels.alphas, levels.phis):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("argv", [["reproduce", "fig2"], ["overlap-scan"]])
+    def test_one_eigensolve_per_cli_run(self, argv, monkeypatch, tmp_path):
+        calls = self._count_eigensolves(monkeypatch)
+        assert main([*argv, "--n", "4", "--out", str(tmp_path)]) in (0, 1)
+        assert len(calls) == 1
+
+    def test_a_raising_slow_mode_is_not_kept(self, dicke6):
+        _, dec = dicke6
+        leading = dec.leading_left.copy()
+        leading[1, 0, -1] += 1e-3 * np.max(np.abs(leading[1]))  # anti-Hermitian part 5e-4 max|l2|
+        doctored = dataclasses.replace(dec, leading_left=leading)
+        psi = random_pure_state(dec.dim - 1, 1)
+        for _ in range(2):
+            with pytest.raises(NotHermitianSlowMode):
+                optimal_unitary(doctored, psi)
+            with pytest.raises(NotHermitianSlowMode):
+                overlap_scan(doctored, psi, np.linspace(0.0, 1.0, 3))
+        assert "slow_mode" not in vars(doctored)
