@@ -139,7 +139,7 @@ def read_config(path=None, overrides: Optional[dict] = None) -> dict:
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         for key, raw in parse_config_text(text).items():
             values[key] = _convert(key, raw)

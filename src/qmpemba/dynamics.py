@@ -46,6 +46,8 @@ FIT_WINDOW_UNROTATED = (1e-1, 1e-4)
 FIT_WINDOW_ROTATED = (1e-2, 1e-6)
 FIT_R2_FLOOR = 0.99
 FIT_START_FRACTION = 1e-2  # the rest of the mode sum over the slow term, at the fit's start
+PLATEAU_REL_VARIATION = 0.10  # (max - min)/max bound of a flat stretch (find_plateau)
+DENSITY_TOL = 1e-10  # trace and Hermiticity tolerance of an input state
 
 _MODE_SUM_CHUNK = 32  # grid times per mode-sum product
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -99,6 +101,8 @@ class TimeGrid:
     ) -> "TimeGrid":
         if t_start <= 0:
             raise ValueError("geometric grid needs t_start > 0")
+        if include_zero and n < 3:  # t = 0 and one geometric point would drop t_stop
+            raise ValueError("geometric grid with t = 0 needs at least three points")
         cls(points=[t_start, t_stop])  # the endpoints checked before numpy spaces them
         pts = np.geomspace(t_start, t_stop, n - 1 if include_zero else n)
         if include_zero:
@@ -132,14 +136,15 @@ class TrajectoryRecord:
     exact_matvecs: int = 0  # generator products of the exact segment
 
 
-def _check_density(rho, d: int, tol: float = 1e-10) -> np.ndarray:
+def _check_density(rho, d: int) -> np.ndarray:
     rho = as_matrix(rho)
     if rho.shape != (d, d):
         raise ShapeMismatch(f"state shape {rho.shape} does not match dimension {d}")
-    if abs(np.trace(rho) - 1.0) > tol:
-        raise NotNormalized(f"state trace {np.trace(rho):.12g} differs from 1 beyond {tol:g}")
-    if float(np.max(np.abs(rho - rho.conj().T))) > tol:
-        raise NotHermitian(f"state is not Hermitian within {tol:g}")
+    if abs(np.trace(rho) - 1.0) > DENSITY_TOL:
+        raise NotNormalized(
+            f"state trace {np.trace(rho):.12g} differs from 1 beyond {DENSITY_TOL:g}")
+    if float(np.max(np.abs(rho - rho.conj().T))) > DENSITY_TOL:
+        raise NotHermitian(f"state is not Hermitian within {DENSITY_TOL:g}")
     return rho
 
 
@@ -529,12 +534,11 @@ def find_plateau(
     times: np.ndarray,
     values: np.ndarray,
     span: float,
-    max_rel_variation: float = 0.10,
 ) -> Optional[tuple[int, int]]:
     """Earliest flat stretch of length >= span, extended while it stays flat.
 
     Returns ``(i, j)`` with ``times[j] >= times[i] + span`` and
-    ``(max - min)/max < max_rel_variation`` over ``values[i:j+1]``, where j is
+    ``(max - min)/max < PLATEAU_REL_VARIATION`` over ``values[i:j+1]``, where j is
     pushed as far right as the variation bound allows; None if no window of
     the minimum span qualifies.
     """
@@ -544,7 +548,7 @@ def find_plateau(
     def flat(i, j):
         seg = values[i : j + 1]
         top = float(np.max(seg))
-        return top > 0 and (top - float(np.min(seg))) / top < max_rel_variation
+        return top > 0 and (top - float(np.min(seg))) / top < PLATEAU_REL_VARIATION
 
     for i in range(times.size):
         j = int(np.searchsorted(times, times[i] + span))

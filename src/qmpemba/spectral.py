@@ -32,12 +32,14 @@ block at one BLAS thread each.  Its dense block, eigenvectors and workspace
 live in anonymous mappings, which go back to the OS when freed, where a
 thread's malloc arena would keep them.
 
-After one global sort, each block is finished in real arithmetic on its own
-arrays, released before the next block's: a conjugate pair is two real
-columns of the eigenvector matrix and two real rows of its inverse, so each
-normalization of it is a 2x2 real map.  The modes stay in the basis
-coordinates they are solved in, stored once as real rows over the block's
-basis rows (``HermitianModes``), one unit per real mode or conjugate pair.
+After one global sort, each block's eigenvector matrix is inverted and
+unpacked into units, one per real mode or conjugate pair, and its arrays are
+released before the next block's.  A pair is two real columns of the
+eigenvector matrix and two real rows of its inverse: its polish takes one
+sparse LU, and each normalization of it is a 2x2 real map, which
+``_finish_block`` applies to any subset of a block's units.  The modes stay
+in the basis coordinates they are solved in, stored once as real rows over
+the block's basis rows (``HermitianModes``).
 Full complex matrices are kept only for the identity, the slow left mode and
 the stationary state; full mode arrays are expanded on request.
 """
@@ -55,7 +57,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla  # only for sla.LinAlgError, which is numpy's
+import scipy.linalg as sla  # unused: bench/workloads.py KERNELS rebinds it until ROADMAP item A
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
@@ -102,7 +104,7 @@ class AssumptionFlags:
 @dataclass(frozen=True)
 class Diagnostics:
     condition_estimate: float
-    biorthonormality_residual: float
+    biorthonormality_residual: float  # max|Tr(l_k r_h) - delta_kh| over the units finished
     fixed_point_residual: float
     max_real_part: float
     stationary_min_eigenvalue: float
@@ -459,7 +461,7 @@ def _block_eig(sub):
     if _DGEEV is None:
         try:
             lam, v = np.linalg.eig(sub.toarray())
-        except (sla.LinAlgError, ValueError) as exc:
+        except (np.linalg.LinAlgError, ValueError) as exc:
             raise NoConvergence(f"generator eigensolver failed: {exc}") from exc
         vr, second = v.real, np.flatnonzero(lam.imag < 0)
         vr[:, second] = v.imag[:, second - 1]
@@ -524,28 +526,25 @@ def _pack(lam_b, vr):
     return lam_b, partners_b, packed
 
 
-def _polish(sub, pos, partners_b, keep, left, right, lam, scale):
-    """Polish the block's modes ``pos < REFINE_MODES`` in place: they carry all the physics.
+def _polish(sub, mode, mate, left, right, lam, scale):
+    """Polish the units with ``mode[u] < REFINE_MODES`` in place: they carry all the physics.
 
-    The member ``keep[u]`` holds Re and Im of its vectors in ``left[u]`` and
-    ``right[u]``; its partner's are their conjugates.
+    Unit u is the mode ``mode[u]`` with its partner ``mate[u]`` and holds Re
+    and Im of its vectors in ``left[u]`` and ``right[u]``; the partner's are
+    their conjugates, so a pair takes one sparse LU for both members.
     """
-    for kb in range(int(np.searchsorted(pos, REFINE_MODES))):
-        k = pos[kb]
-        jb = partners_b[kb]
+    for u in range(int(np.searchsorted(mode, REFINE_MODES))):
+        k = mode[u]
         others = np.abs(lam - lam[k])
-        others[[k, pos[jb]]] = np.inf
+        others[[k, mate[u]]] = np.inf
         if k > 0 and np.min(others) <= _REFINE_SEPARATION_FACTOR * scale:
             continue
-        u = np.searchsorted(keep, min(kb, jb))
         (xl, yl), (xr, yr) = left[u], right[u]
-        sign = -1.0 if kb > jb else 1.0  # the Im < 0 member of a pair
-        out = _refine_pair(sub, complex(lam[k]), xr + sign * 1j * yr, xl + sign * 1j * yl, scale)
-        if out is None:
-            continue
-        lam_new, v_new, w_new = out
-        lam[pos[jb]], lam[k] = np.conj(lam_new), lam_new  # k last: a real mode is its own partner
-        xr[:], yr[:], xl[:], yl[:] = v_new.real, sign * v_new.imag, w_new.real, sign * w_new.imag
+        out = _refine_pair(sub, complex(lam[k]), xr + 1j * yr, xl + 1j * yl, scale)
+        if out is not None:
+            lam_new, v_new, w_new = out
+            lam[mate[u]], lam[k] = np.conj(lam_new), lam_new  # k last: a real k is its own mate
+            xr[:], yr[:], xl[:], yl[:] = v_new.real, v_new.imag, w_new.real, w_new.imag
 
 
 def _largest_entries(rows, conj_basis):
@@ -576,40 +575,18 @@ def _scale_units(rows, c):
     y += t
 
 
-def _finish_block(block, pos, lam, scale, basis, ell2, stationary):
-    """Finish one block in real arithmetic: its packed units, 1-norms and residual.
+def _finish_block(rows, mode, pair, left, right, lam, basis, ell2, stationary):
+    """Finish units of one block in real arithmetic: their packed rows, peaks and residual.
 
-    ``block`` holds the block's basis rows, sparse block, sorted eigenvalues,
-    partners and packed eigenvector matrix V (``_block_eig``); it is emptied
-    so that V is freed once packed.  A pair a +- ib is held as the columns a,
-    b of V and its left modes (p -+ iq)/2 as the rows p, q of W = V^-1.
-    Writes l_2 into ``ell2`` and r_1 into ``stationary`` when the block holds them.
+    Unit u, a real mode or the Im > 0 member of a pair (``pair[u]``), is the
+    mode ``mode[u]``, ascending; ``left[u]`` and ``right[u]`` hold Re and Im
+    of its l and r over the block's basis rows ``rows``.  The units may be
+    any subset of a block's: each is finished on its own rows, and the
+    residual covers the units given.  Writes l_2 into ``ell2`` and r_1 into
+    ``stationary`` when the units hold them.
     """
-    rows, sub, lam_b, partners_b, v = block
-    block.clear()
-    n = v.shape[0]
-    local = np.arange(n)
-    if np.any((lam_b.imag != 0) & (partners_b == local)):
-        raise NoConvergence("unpaired complex eigenvalue from the real eigensolver")
-    w, _ = refined_inverse(v)
-    norms = float(np.linalg.norm(v, 1)), float(np.linalg.norm(w, 1))
-    # the members, each real mode and the Im > 0 member of each pair: unit u
-    # holds the real and imaginary parts of l_u in left[u] and of r_u in right[u]
-    keep = np.flatnonzero(partners_b >= local)
-    pair = partners_b[keep] != keep
-    mate = partners_b[keep[pair]]
-    left = np.zeros((keep.size, 2, n))
-    left[:, 0] = w[keep]
-    left[pair, 1] = w[mate]
-    del w
-    left *= np.where(pair[:, None], [0.5, -0.5], 1.0)[:, :, None]
-    right = np.zeros_like(left)
-    right[:, 0] = v[:, keep].T
-    right[pair, 1] = v[:, mate].T
-    del v
-    _polish(sub, pos, partners_b, keep, left, right, lam, scale)
-    del sub
-    first = int(pos[0] == 0)
+    n = rows.size
+    first = int(mode[0] == 0)
     if first:
         # l_1 is the identity, exactly: mode 0 is simple and first in its block
         left[0, 0] = rows < math.isqrt(basis.shape[0])
@@ -639,32 +616,32 @@ def _finish_block(block, pos, lam, scale, basis, ell2, stationary):
     factor[mag == 0] = 1.0
     _scale_units(lu, bal / diag * factor)
     _scale_units(ru, 1.0 / (bal * factor))
+    if 1 in mode:
+        xl, yl = left[np.searchsorted(mode, 1)]
+        ell2.reshape(-1)[support] = (xl + 1j * yl) @ conj_basis
 
-    # max|Tr(l_k r_h) - delta_kh| over the members k and all modes h, from the
+    # max|Tr(l_k r_h) - delta_kh| over the units k and their modes h, from the
     # products a, b, c, e of Re l_k, Im l_k with Re r_h, Im r_h: Tr(l_k r_h) =
     # (a - b) + i (c + e), and (a + b) + i (e - c) for the partner h' of h.  An
     # Im < 0 mode's row is conjugate, and pairings across blocks are exactly 0
     left, right = left.reshape(-1, n), right.reshape(-1, n)
-    prod = (left @ right.T).reshape(keep.size, 2, keep.size, 2)
+    prod = (left @ right.T).reshape(mode.size, 2, mode.size, 2)
     a, b, c, e = prod[:, 0, :, 0], prod[:, 1, :, 1], prod[:, 0, :, 1], prod[:, 1, :, 0]
     re = a - b
-    re.flat[:: keep.size + 1] -= 1.0
+    re.flat[:: mode.size + 1] -= 1.0
     residual = float(np.max(np.hypot(re, c + e, out=re)))
     re = a + b
-    re.flat[:: keep.size + 1] -= ~pair
+    re.flat[:: mode.size + 1] -= ~pair
     residual = max(residual, float(np.max(np.hypot(re, e - c, out=re))))
     del prod, a, b, c, e, re
 
     # the stored right rows are 2 Re r and -2 Im r (Re r alone for a real mode)
     ru *= np.where(pair[first:], 2.0, 1.0)[:, None, None] * [[1.0], [-1.0]]
-    if 1 in pos:
-        xl, yl = lu[np.searchsorted(keep, np.searchsorted(pos, 1)) - first]
-        ell2.reshape(-1)[support] = (xl + 1j * yl) @ conj_basis
     if first:
         stationary.reshape(-1)[support] = right[0] @ conj_basis
-    units = (lam[pos[keep[first:]]], lu.reshape(-1, n), ru.reshape(-1, n),
+    units = (lam[mode[first:]], lu.reshape(-1, n), ru.reshape(-1, n),
              _largest_entries(ru, conj_basis)[0])
-    return units, norms, residual
+    return units, residual
 
 
 def decompose(
@@ -689,20 +666,19 @@ def decompose(
     pattern as a graph) is kept as a sparse CSC matrix; a dense copy of it
     lives only for its eigensolve (``_eigensolve``, the blocks at once), and
     the eigenvalues of all blocks are merged into one sorted spectrum.  Then
-    each block is finished in real arithmetic (``_finish_block``): from its packed
-    eigenvector matrix and the real inverse, the polish of its slow modes
-    (a sparse LU of the shifted sparse block), the trace, pairing and phase
-    normalizations and the biorthonormality product all act on the real
-    rows of ``HermitianModes``, the only mode storage of the result.  No
-    complex n_b x n_b and no m x d x d array is formed.  At N=40 the dicke
-    generator splits into blocks of 841 and 840; the all-to-all generator
-    is one block of 1681; ``packed.generator`` keeps the blocks in one CSR.
+    each block's packed eigenvector matrix and its real inverse are unpacked
+    into the real rows of its units, the units among the ``REFINE_MODES``
+    slowest modes are polished by shifted inverse iteration (``_polish``),
+    and ``_finish_block`` applies the trace, pairing and phase normalizations
+    and the biorthonormality product to the units, whose rows
+    ``HermitianModes`` keeps as the only mode storage of the result.  No
+    complex n_b x n_b and no m x d x d array is formed.  ``packed.generator``
+    keeps the blocks in one CSR.
 
     Violated assumptions raise ``ComplexSlowMode`` or ``DegenerateSlowMode``
     with the finished decomposition attached.  A degenerate zero eigenvalue
     raises ``DegenerateStationaryState`` (there is no meaningful stationary
-    normalization to return).  The ``REFINE_MODES`` leading modes are
-    polished by shifted inverse iteration.
+    normalization to return).
     """
     if sup.kind != "generator":
         raise ValueError(f"decompose expects a generator, got kind={sup.kind!r}")
@@ -754,13 +730,33 @@ def decompose(
             eigenvalues=lam,
         )
 
-    # each block is finished on its own arrays, and every dense array of a
-    # block is released before the next block's are made
+    # every dense array of a block is released before the next block's are
+    # made.  A pair a +- ib is the columns a, b of V and its left modes
+    # (p -+ iq)/2 the rows p, q of W = V^-1; its unit is the Im > 0 member
     leading_left = np.stack([np.eye(d, dtype=complex), np.zeros((d, d))])
     stationary = np.zeros((d, d), dtype=complex)
-    units_b, norms, residuals = zip(*[
-        _finish_block(block, pos, lam, scale, basis, leading_left[1], stationary)
-        for block, pos in zip(blocks, modes)])
+    finished, norms = [], []
+    for pos in modes:
+        rows, sub, lam_b, partners_b, v = blocks.pop(0)
+        local = np.arange(lam_b.size)
+        if np.any((lam_b.imag != 0) & (partners_b == local)):
+            raise NoConvergence("unpaired complex eigenvalue from the real eigensolver")
+        w, _ = refined_inverse(v)
+        norms.append((float(np.linalg.norm(v, 1)), float(np.linalg.norm(w, 1))))
+        twin = np.stack([local, partners_b], axis=1)[partners_b >= local]  # each unit's members
+        mode, mate = pos[twin].T  # unit u is the mode mode[u], with the partner mate[u]
+        left = w[twin]
+        del w
+        right = v.T[twin]
+        del v, twin
+        pair = mate != mode
+        left[~pair, 1] = right[~pair, 1] = 0.0  # a real mode is its own partner: no Im rows
+        left *= np.where(pair[:, None], [0.5, -0.5], 1.0)[:, :, None]
+        _polish(sub, mode, mate, left, right, lam, scale)
+        del sub
+        finished.append(_finish_block(rows, mode, pair, left, right, lam, basis,
+                                      leading_left[1], stationary))
+    units_b, residuals = zip(*finished)
     # the 1-norm of a block-diagonal matrix is the largest of its blocks'
     cond = max(nv for nv, _ in norms) * max(nw for _, nw in norms)
     if cond > CONDITION_WARN_THRESHOLD:

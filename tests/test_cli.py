@@ -281,6 +281,12 @@ EXIT_CODE_ROWS = [
                  False, 4, "", id="4-config-bad-grid"),
     pytest.param(["evolve", "--n", "3"], "env", "t_max = nan\n", False, 4, "",
                  id="4-config-nan-t-max"),
+    # t = 0 and one geometric point: the grid would end at t_min, not t_max
+    pytest.param(["evolve", "--n", "4"], "env", "t_spacing = logarithmic\nt_points = 2\n",
+                 False, 4, "", id="4-config-two-point-log-grid"),
+    # a file that is not UTF-8 is unreadable, like any other: stderr only
+    pytest.param(["spectrum", "--n", "3"], "flag", b"model = dicke\n\xff\n", False, 4, None,
+                 id="4-config-not-utf8"),
     pytest.param(["spectrum", "--n", "3", "--tol-imag", "nan"], "flag", None, False, 4, "",
                  id="4-config-nan-tol-imag"),
     pytest.param(["spectrum", "--n", "3", "--tol-gap", "inf"], "flag", None, False, 4, "",
@@ -311,7 +317,10 @@ def test_exit_codes(argv, out_via, cfg_text, fail_trajectory, code, err_dir,
         monkeypatch.setenv("QMPEMBA_OUT", str(out))
     if cfg_text is not None:
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(cfg_text)
+        if isinstance(cfg_text, bytes):
+            cfg.write_bytes(cfg_text)
+        else:
+            cfg.write_text(cfg_text)
         argv += ["--config", str(cfg)]
     if fail_trajectory:
         monkeypatch.setattr("qmpemba.cli.robust_trajectory", _no_convergence)

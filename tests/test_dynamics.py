@@ -90,6 +90,15 @@ class TestTimeGrid:
         assert grid.step is None
         assert TimeGrid(points=np.array([0.0, 1.0, 2.0])).step is None  # never inferred
 
+    def test_geometric_with_zero_keeps_both_ends(self):
+        # t = 0 and one geometric point would end the grid at t_start
+        grid = TimeGrid.geometric(0.1, 10.0, 3, include_zero=True)
+        assert grid.points[0] == 0.0 and grid.points[-1] == 10.0
+        for n in (1, 2):
+            with pytest.raises(ValueError, match="three points"):
+                TimeGrid.geometric(0.1, 10.0, n, include_zero=True)
+        assert TimeGrid.geometric(0.1, 10.0, 2).points[-1] == 10.0
+
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):
             TimeGrid(points=np.array([0.0]))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import sys
 import threading
@@ -38,6 +39,7 @@ from qmpemba import (
 from qmpemba import dynamics, spectral
 from qmpemba.errors import (
     AssumptionViolation,
+    ComplexSlowMode,
     DegenerateSlowMode,
     DegenerateStationaryState,
     IllConditionedBasis,
@@ -255,6 +257,52 @@ class TestPolish:
         n = block.shape[0]
         assert spectral._refine_pair(sp.csc_matrix(block), lam, np.ones(n, dtype=complex),
                                      np.ones(n, dtype=complex), 0.0) is None
+
+
+class TestUnits:
+    """The finisher takes units, a real mode or a pair's Im > 0 member each."""
+
+    def test_a_complex_pair_takes_one_lu(self, monkeypatch):
+        # lambda_2 and lambda_3 are one pair here: the stationary mode takes
+        # one LU and the pair one, not one per member
+        dtypes = []
+        splu = spectral.splu
+        monkeypatch.setattr(spectral, "splu", lambda a: dtypes.append(a.dtype) or splu(a))
+        model = dicke_model(dataclasses.replace(DICKE_REF, Omega=0.5), 1)
+        with pytest.raises(ComplexSlowMode) as info:
+            decompose(build_liouvillian(model))
+        lam = info.value.decomposition.eigenvalues
+        assert lam[1].imag > 0 and lam[2] == np.conj(lam[1])
+        assert dtypes == [np.float64, np.complex128]
+
+    @pytest.mark.parametrize("name", ["dicke", "all-to-all"])
+    def test_halves_finish_like_the_whole_block(self, name, monkeypatch):
+        # each unit is finished on its own rows: the two halves of a block's
+        # units store exactly the rows, eigenvalues and peaks of the whole, and
+        # each half's residual covers fewer pairings than the whole one's
+        calls = []
+        finish = spectral._finish_block
+        monkeypatch.setattr(spectral, "_finish_block",
+                            lambda *args: calls.append(copy.deepcopy(args)) or finish(*args))
+        model = dicke_model(DICKE_REF, 6) if name == "dicke" else all_to_all_model(ALL_TO_ALL_REF, 6)
+        decompose(build_liouvillian(model))
+        assert len(calls) >= 1
+        for rows, mode, pair, left, right, lam, basis, ell2, stationary in calls:
+            run = [left.copy(), right.copy(), ell2.copy(), stationary.copy()]
+            whole, residual = finish(rows, mode, pair, *run[:2], lam, basis, *run[2:])
+            first, n = int(mode[0] == 0), rows.size
+            half = mode.size // 2
+            for cut in (slice(0, half), slice(half, None)):
+                out = [left[cut].copy(), right[cut].copy(), np.zeros_like(ell2),
+                       np.zeros_like(stationary)]
+                units, part = finish(rows, mode[cut], pair[cut], *out[:2], lam, basis, *out[2:])
+                assert part <= residual
+                lo, hi = max(cut.start, first) - first, (cut.stop or mode.size) - first
+                for got, full, step in zip(units, whole, (1, 2, 2, 1)):
+                    assert got.tobytes() == full[step * lo: step * hi].tobytes()
+                for got, full, k in ((out[2], run[2], 1), (out[3], run[3], 0)):
+                    if k in mode[cut]:
+                        assert got.tobytes() == full.tobytes()
 
 
 def _packed_from_numpy_eig(a):
